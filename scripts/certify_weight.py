@@ -1,7 +1,7 @@
-"""Step-by-step irreducibility certification for one group and weight.
+"""Irreducibility certificate for one group and weight, one stage per line.
 
-Walks the same checks the `verify-all` pipeline runs, but prints each stage
-as it lands so the interplay is visible:
+Prints the per-weight section that `verify-all` computes
+(`refleig.report.eigenspace_section`), so its verdict is the pipeline's:
 
     python scripts/certify_weight.py --builtin dihedral:5 --weight "i*1, i*3"
     python scripts/certify_weight.py --builtin symmetric:3 --random --seed 7
@@ -11,24 +11,10 @@ import argparse
 import random
 import sys
 
-from refleig.cyclotomic import ONE, ZERO
-from refleig.eigenspace import (
-    InducedModel,
-    commutant_dimension,
-    dual_cyclic_check,
-    dual_sample_elements,
-    eigen_check,
-    evaluation_rank,
-    intertwiner,
-    invariant_eigenvalues,
-    is_generic,
-    random_generic_weight,
-    stabilizer_order,
-)
+from refleig.eigenspace import random_generic_weight
 from refleig.groups import builtin
 from refleig.harmonics import compute_harmonics, find_fundamental_invariants
-from refleig.parsing import format_scalar
-from refleig.report import PipelineConfig, _equivariance_battery, weight_from_strings
+from refleig.report import PipelineConfig, eigenspace_section, weight_from_strings
 
 
 def main():
@@ -42,7 +28,8 @@ def main():
     if bool(args.weight) == args.random:
         parser.error("give exactly one of --weight or --random")
 
-    rng = random.Random(args.seed)
+    config = PipelineConfig(seed=args.seed, equivariance_trials=args.trials)
+    rng = random.Random(config.seed)
     group = builtin(args.builtin)
     print(f"group {group.name}: order {group.order}, dimension {group.dimension}")
 
@@ -55,42 +42,23 @@ def main():
         w = random_generic_weight(group, rng)
     else:
         w = weight_from_strings(group, [t.strip() for t in args.weight.split(",")])
-    print(f"weight: ({', '.join(format_scalar(x) for x in w.entries)})")
-    print(f"generic: {is_generic(w)} (stabilizer order {stabilizer_order(w)})")
+    section = eigenspace_section(group, invariants, harmonics, w, config, rng)
 
-    m = InducedModel.build(w)
-    print(f"distinct orbit points: {m.orbit.distinct_count} of {group.order}")
-
-    rank = evaluation_rank(w, harmonics)
-    print(f"harmonic evaluation rank: {rank}")
-
-    basis = [
-        tuple(ONE if i == j else ZERO for j in range(group.dimension))
-        for i in range(group.dimension)
-    ]
-    commutant = commutant_dimension(m, basis)
-    print(f"commutant dimension: {commutant}")
-
-    wave = intertwiner(m, m.fixed_vector())
-    print(f"eigen check on the orbit: {eigen_check(wave, invariants, w)}")
-    for d, v in zip(invariants.degrees.degrees, invariant_eigenvalues(invariants, w)):
-        print(f"  degree-{d} eigenvalue: {format_scalar(v)}")
-
-    equivariant = _equivariance_battery(m, rng, args.trials)
-    print(f"equivariance over {args.trials} random motions: {equivariant}")
-
-    dual = dual_cyclic_check(m, dual_sample_elements(m, rng))
-    print(f"dual orbit spans: {dual}")
-
-    certified = (
-        is_generic(w)
-        and rank == group.order
-        and commutant == 1
-        and equivariant
-        and dual
+    print(f"weight: ({', '.join(section['weight'])})")
+    print(f"generic: {section['generic']}")
+    print(f"distinct orbit points: {section['orbit_size_distinct']} of {group.order}")
+    print(f"harmonic evaluation rank: {section['evaluation_rank']}")
+    print(f"commutant dimension: {section['commutant_dim']}")
+    print(f"eigen check on the orbit: {section['eigen_check']}")
+    for entry in section["eigenvalues"]:
+        print(f"  degree-{entry['degree']} eigenvalue: {entry['value']}")
+    print(
+        f"equivariance over {section['equivariance_trials']} random motions: "
+        f"{section['equivariance']}"
     )
-    print("certified irreducible" if certified else "not certified")
-    return 0 if certified else 1
+    print(f"dual orbit spans: {section['dual_cyclic']}")
+    print(f"status: {section['status']}")
+    return 0 if section["irreducible_certified"] else 1
 
 
 if __name__ == "__main__":

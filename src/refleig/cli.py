@@ -38,6 +38,16 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
+def _nonnegative_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _add_common(sub, with_weight=False):
     source = sub.add_mutually_exclusive_group(required=True)
     source.add_argument(
@@ -51,7 +61,7 @@ def _add_common(sub, with_weight=False):
     sub.add_argument(
         "--out", metavar="FILE", help="write the report to FILE instead of stdout"
     )
-    sub.add_argument("--max-degree", type=int, default=None, metavar="N")
+    sub.add_argument("--max-degree", type=_nonnegative_int, default=None, metavar="N")
     sub.add_argument("--precision", type=int, default=128, metavar="BITS")
     sub.add_argument("--seed", type=int, default=0, metavar="S")
     sub.add_argument(

@@ -20,7 +20,7 @@ from functools import lru_cache
 import mpmath
 
 from . import linalg
-from .errors import OrderLimitError
+from .errors import InternalConsistencyError, OrderLimitError
 
 Rational = Fraction
 
@@ -71,11 +71,13 @@ def _int_poly_div_exact(num, den):
     out = [0] * (len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):
         q, r = divmod(num[i + len(den) - 1], dlead)
-        assert r == 0
+        if r:
+            raise InternalConsistencyError("inexact integer polynomial division")
         out[i] = q
         for j, d in enumerate(den):
             num[i + j] -= q * d
-    assert all(x == 0 for x in num)
+    if any(num):
+        raise InternalConsistencyError("integer polynomial division leaves a remainder")
     return out
 
 
@@ -170,7 +172,8 @@ def _canonicalize(m, vec):
                 basis_cols = _descent_basis(m, p)
                 rows = [list(r) for r in zip(*basis_cols)]
                 sol = linalg.solve(rows, vec, ncols=len(basis_cols))
-                assert sol is not None, "Galois-fixed value must descend"
+                if sol is None:
+                    raise InternalConsistencyError("Galois-fixed value must descend")
                 m //= p
                 vec = sol
                 break
@@ -427,7 +430,8 @@ def _poly_modinv(a, mod):
         ]
         r0, r1 = r1, trim(r)
         s0, s1 = s1, trim(s_next)
-    assert r1, "gcd with irreducible modulus must be a unit"
+    if not r1:
+        raise InternalConsistencyError("gcd with irreducible modulus must be a unit")
     g = r1[0]
     inv = [c / g for c in s1]
     # reduce modulo mod once more for safety

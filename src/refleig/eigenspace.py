@@ -33,7 +33,6 @@ from .errors import (
 )
 from .groups import GroupElement, ReflectionGroup
 from .harmonics import HarmonicSpace
-from .polynomials import Poly
 
 
 @dataclass(frozen=True)
@@ -328,9 +327,6 @@ class PlaneWaveSum:
             else:
                 out.pop(mu, None)
         return PlaneWaveSum(self.dimension, out, _clean=True)
-
-    def exponents(self):
-        return list(self.waves)
 
     def __repr__(self):
         from .parsing import format_scalar

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cyclotomic import Cyclotomic, E, ONE, ZERO, cyc
+from .cyclotomic import E, ONE, ZERO, cyc
 from .errors import (
     GroupClosureError,
     InternalConsistencyError,
@@ -82,9 +82,6 @@ class RMatrix:
 
     def det(self):
         return linalg.det(self.rows)
-
-    def inverse(self):
-        return RMatrix(linalg.inverse([list(r) for r in self.rows], ONE))
 
     def is_identity(self):
         return self == RMatrix.identity(self.dimension)

@@ -9,14 +9,12 @@ group order, both asserted.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .cyclotomic import ONE
 from .errors import GeneratorSearchError, InternalConsistencyError
 from .polynomials import (
     Poly,
-    act,
     coeff_vector,
     diff_apply,
     invariant_subspace,
@@ -25,7 +23,13 @@ from .polynomials import (
     poly_from_vector,
     reynolds,
 )
-from .series import DegreeVector, extract_degrees, harmonic_hilbert, molien
+from .series import (
+    DegreeVector,
+    default_truncation,
+    extract_degrees,
+    harmonic_hilbert,
+    molien_truncated,
+)
 
 
 @dataclass(frozen=True)
@@ -48,9 +52,6 @@ class HarmonicSpace:
 
     basis_by_degree: tuple  # tuple of (degree, tuple-of-Poly) pairs
     total_dimension: int
-
-    def degree_dims(self):
-        return {d: len(b) for d, b in self.basis_by_degree}
 
     def flat_basis(self):
         out = []
@@ -77,6 +78,18 @@ def _exponent_solutions(degrees, target):
     return out
 
 
+def _generator_products(generators, degrees, target, nvars):
+    """Every power product of the generators of total degree `target`."""
+    out = []
+    for exps in _exponent_solutions(degrees, target):
+        prod = Poly.constant(nvars, ONE)
+        for gen, e in zip(generators, exps):
+            if e:
+                prod = prod * gen ** e
+        out.append(prod)
+    return out
+
+
 def _normalize_leading(p: Poly) -> Poly:
     lead = p.leading_monomial()
     c = p.terms[lead]
@@ -85,20 +98,20 @@ def _normalize_leading(p: Poly) -> Poly:
     return p * c.inverse()
 
 
-def find_fundamental_invariants(group) -> FundamentalInvariants:
-    """Search for generators at the exponent degrees from the Molien series."""
-    mol = molien(group)
+def find_fundamental_invariants(group, series=None) -> FundamentalInvariants:
+    """Search for generators at the exponent degrees from the Molien series.
+
+    A Molien series already at hand may be passed as `series` to skip
+    recomputing it; degrees are always read at the default truncation.
+    """
+    mol = molien_truncated(group, default_truncation(group), series)
     degrees = extract_degrees(mol, group.dimension, group.order)
     chosen = []
     chosen_degs = []
     for d in degrees:
         monos = monomials_of_degree(group.dimension, d)
         span = linalg.RowSpan(len(monos))
-        for exps in _exponent_solutions(chosen_degs, d):
-            prod = Poly.constant(group.dimension, ONE)
-            for gen, e in zip(chosen, exps):
-                if e:
-                    prod = prod * gen ** e
+        for prod in _generator_products(chosen, chosen_degs, d, group.dimension):
             span.add(coeff_vector(prod, monos))
         picked = None
         for candidate in invariant_subspace(group, d):
@@ -199,13 +212,9 @@ def verify_product_decomposition(
         for l in sorted(harm):
             if l > k:
                 continue
-            inv_dim = len(_exponent_solutions(degs, k - l))
-            count += inv_dim * len(harm[l])
-            for exps in _exponent_solutions(degs, k - l):
-                factor = Poly.constant(n, ONE)
-                for gen, e in zip(invariants.generators, exps):
-                    if e:
-                        factor = factor * gen ** e
+            factors = _generator_products(invariants.generators, degs, k - l, n)
+            count += len(factors) * len(harm[l])
+            for factor in factors:
                 for h in harm[l]:
                     span.add(coeff_vector(factor * h, monos))
         if count != dim_sk:
@@ -257,11 +266,7 @@ def graded_subalgebra_dims(generators, up_to: int):
     for k in range(up_to + 1):
         monos = monomials_of_degree(n, k)
         span = linalg.RowSpan(len(monos))
-        for exps in _exponent_solutions(degs, k):
-            prod = Poly.constant(n, ONE)
-            for gen, e in zip(generators, exps):
-                if e:
-                    prod = prod * gen ** e
+        for prod in _generator_products(generators, degs, k, n):
             span.add(coeff_vector(prod, monos))
         dims[k] = span.rank
         spans[k] = span

@@ -9,8 +9,6 @@ deterministic, which several callers rely on for reproducible bases.
 
 from fractions import Fraction
 
-from .errors import InternalConsistencyError
-
 
 def mat_mul(a, b):
     rows, mid, cols = len(a), len(b), len(b[0])
@@ -35,10 +33,6 @@ def mat_vec(a, v):
             acc = acc + row[k] * v[k]
         out.append(acc)
     return out
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def rref(rows, ncols):
@@ -156,11 +150,6 @@ def det(a):
     return result
 
 
-def identity(n, one):
-    zero = one - one
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def charpoly(a, one):
     """Coefficients of det(sI - A), constant term first (Faddeev-LeVerrier)."""
     n = len(a)
@@ -180,23 +169,6 @@ def charpoly(a, one):
             tr = tr + am[i][i]
         coeffs[n - k] = zero - tr * Fraction(1, k)
     return coeffs
-
-
-def inverse(a, one):
-    """Exact matrix inverse via the characteristic polynomial."""
-    n = len(a)
-    cp = charpoly(a, one)
-    if not cp[0]:
-        raise ZeroDivisionError("matrix is singular")
-    # A^-1 = -(A^{n-1} + c_{n-1} A^{n-2} + ... + c_1 I) / c_0
-    acc = identity(n, one)
-    for k in range(n - 1, 0, -1):
-        am = mat_mul(a, acc)
-        for i in range(n):
-            am[i][i] = am[i][i] + cp[k]
-        acc = am
-    factor = (one - one - one) / cp[0]  # -1/c_0
-    return [[x * factor for x in row] for row in acc]
 
 
 class RowSpan:
@@ -245,8 +217,3 @@ class RowSpan:
     @property
     def rank(self):
         return len(self.rows)
-
-
-def require_square(a, what="matrix"):
-    if any(len(row) != len(a) for row in a):
-        raise InternalConsistencyError(f"{what} is not square")

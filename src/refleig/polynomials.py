@@ -133,13 +133,6 @@ class Poly:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def homogeneous_component(self, k):
-        return Poly(
-            self.nvars,
-            {e: c for e, c in self.terms.items() if sum(e) == k},
-            _clean=True,
-        )
-
     def constant_value(self):
         return self.terms.get((0,) * self.nvars, ZERO)
 

@@ -16,7 +16,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import __version__
-from .cyclotomic import cyc
 from .eigenspace import (
     InducedModel,
     FormalExp,
@@ -33,7 +32,7 @@ from .eigenspace import (
     random_generic_weight,
     zero_weight,
 )
-from .errors import NotReflectionSeriesError
+from .errors import NonOrthogonalError, NotReflectionSeriesError
 from .groups import GroupElement, ReflectionGroup, is_pseudo_reflection_group
 from .harmonics import (
     compute_harmonics,
@@ -41,7 +40,12 @@ from .harmonics import (
     verify_product_decomposition,
 )
 from .parsing import format_poly, format_scalar
-from .series import molien, series_identity_check
+from .series import (
+    default_truncation,
+    molien,
+    molien_truncated,
+    series_identity_check,
+)
 from .polynomials import invariant_subspace
 
 SCHEMA_VERSION = 1
@@ -94,24 +98,25 @@ class _Timings:
 
 
 def group_section(group: ReflectionGroup) -> dict:
-    orthogonal = all(m.is_orthogonal() for m in group.elements)
+    try:
+        is_reflection_group = is_pseudo_reflection_group(group)
+        orthogonal = True
+    except NonOrthogonalError:
+        is_reflection_group = orthogonal = False
     return {
         "name": group.name,
         "dimension": group.dimension,
         "order": group.order,
         "reflection_count": sum(group.reflection_flags),
         "orthogonal": orthogonal,
-        "is_reflection_group": (
-            is_pseudo_reflection_group(group) if orthogonal else False
-        ),
+        "is_reflection_group": is_reflection_group,
     }
 
 
 def molien_section(group: ReflectionGroup, max_degree=None, series=None) -> dict:
     if max_degree is None:
         max_degree = group.order + group.dimension - 1
-    if series is None or series.truncation <= max_degree:
-        series = molien(group, truncation=max(max_degree + 1, 2))
+    series = molien_truncated(group, max(max_degree + 1, 2), series)
     coeffs = [int(series[k]) for k in range(max_degree + 1)]
     return {"max_degree": max_degree, "coefficients": coeffs}
 
@@ -228,7 +233,16 @@ def verify_all(group: ReflectionGroup, weights, config: PipelineConfig) -> dict:
     checks["def-1.1"] = "pass" if report["group"]["is_reflection_group"] else "fail"
 
     with timings.measure("molien"):
-        series = molien(group)
+        # one series serves every consumer: the molien section, degree
+        # extraction (default truncation) and the series identity (2|K| + 1)
+        series = molien(
+            group,
+            max(
+                default_truncation(group),
+                2 * group.order + 1,
+                (config.max_degree or 0) + 1,
+            ),
+        )
         report["molien"] = molien_section(group, config.max_degree, series)
         cross_ok = _molien_cross_check(group, series)
     checks["lemma-4.3"] = "pass" if cross_ok else "fail"
@@ -236,7 +250,7 @@ def verify_all(group: ReflectionGroup, weights, config: PipelineConfig) -> dict:
     invariants = None
     try:
         with timings.measure("invariants"):
-            invariants = find_fundamental_invariants(group)
+            invariants = find_fundamental_invariants(group, series)
         report["invariants"] = invariants_section(group, invariants)
         checks["lemma-4.5"] = (
             "pass"
@@ -253,7 +267,10 @@ def verify_all(group: ReflectionGroup, weights, config: PipelineConfig) -> dict:
             harmonics = compute_harmonics(group, invariants)
             report["harmonics"] = harmonics_section(harmonics)
             identity_ok = series_identity_check(
-                group, truncation=2 * group.order + 1
+                group,
+                truncation=2 * group.order + 1,
+                degrees=invariants.degrees,
+                series=series,
             )
             bound = max(invariants.degrees.degrees) + 1
             decomposition = verify_product_decomposition(

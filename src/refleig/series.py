@@ -2,15 +2,17 @@
 
 The Molien series (1/|K|) sum_k det(I - t k)^(-1) is computed exactly: each
 characteristic polynomial is found by Faddeev-LeVerrier over the cyclotomic
-field, inverted as a truncated power series, and averaged.  Coefficients of
-the result must be nonnegative integers (they are dimensions); both facts are
-asserted rather than trusted.
+field.  The summand is a class function, so each distinct polynomial is
+inverted once as a truncated power series, weighted by how many elements
+share it, and averaged.  Coefficients of the result must be nonnegative
+integers (they are dimensions); both facts are asserted rather than trusted.
 
 For a pseudo-reflection group the reciprocal series is the finite product
 prod (1 - t^d_i); `extract_degrees` recovers the d_i greedily and raises
 NotReflectionSeriesError for any series without such a factorization.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -128,18 +130,18 @@ def _det_one_minus_t(k):
     n = k.dimension
     cp = linalg.charpoly([list(r) for r in k.rows], ONE)
     # det(sI - k) = sum cp[j] s^j  =>  det(I - t k) = sum cp[n - j] t^j
-    return [cp[n - j] for j in range(n + 1)]
+    return tuple(cp[n - j] for j in range(n + 1))
 
 
 def molien(group, truncation=None) -> SeriesQ:
     """Exact Molien series of the group, truncated inclusively."""
     if truncation is None:
         truncation = default_truncation(group)
+    multiplicity = Counter(_det_one_minus_t(k) for k in group.elements)
     total = [ZERO] * (truncation + 1)
-    for k in group.elements:
-        det_poly = _det_one_minus_t(k)
+    for det_poly, count in multiplicity.items():
         inv = _seq_recip(det_poly, truncation)
-        total = [a + b for a, b in zip(total, inv)]
+        total = [a + b * count for a, b in zip(total, inv)]
     scale = Fraction(1, group.order)
     out = []
     for idx, c in enumerate(total):
@@ -155,6 +157,13 @@ def molien(group, truncation=None) -> SeriesQ:
             )
         out.append(q)
     return SeriesQ(out)
+
+
+def molien_truncated(group, truncation, series=None) -> SeriesQ:
+    """`series` cut to `truncation` when it reaches that far, else a fresh Molien series."""
+    if series is None or series.truncation < truncation:
+        return molien(group, truncation)
+    return series.truncated(truncation)
 
 
 def _poly_divide_linear_factor(p, d):
@@ -276,16 +285,17 @@ def binomial_series(dimension: int, truncation: int) -> SeriesQ:
     )
 
 
-def series_identity_check(group, truncation=None, degrees=None) -> bool:
+def series_identity_check(group, truncation=None, degrees=None, series=None) -> bool:
     """Check molien * harmonic_hilbert = (1 - t)^(-n) up to the truncation.
 
     Passing an explicit (possibly wrong) degree vector exercises the identity
-    as a genuine test rather than a tautology.
+    as a genuine test rather than a tautology.  A Molien series already at
+    hand may be passed as `series` to skip recomputing it.
     """
     if truncation is None:
         truncation = default_truncation(group)
     work_trunc = max(truncation, group.order + group.dimension - 1)
-    mol = molien(group, work_trunc)
+    mol = molien_truncated(group, work_trunc, series)
     if degrees is None:
         degrees = extract_degrees(mol, group.dimension, group.order)
     hh = harmonic_hilbert(degrees, truncation)

@@ -129,7 +129,12 @@ def test_verify_all_rejects_rotation_group(capsys):
     assert checks["thm-4.14"] == "not-run"
     assert checks["thm-3.10"] == "not-run"
     assert rep["failed_at"] == "lemma-4.2/degree-extraction"
-    assert "error" in rep["invariants"]
+    # extraction reads the series at the default truncation (16), whatever
+    # truncation the shared series was computed at
+    assert rep["invariants"]["error"] == (
+        "not a reflection-group invariant series: reciprocal has a nonzero "
+        "coefficient at degree 15 > bound 6"
+    )
 
 
 def test_verify_all_zero_weight_is_out_of_scope(capsys):
@@ -251,6 +256,9 @@ def test_argparse_failures_exit_two():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["molien"])  # no group source
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["molien", "--builtin", "dihedral:3", "--max-degree", "-3"])
     assert exc.value.code == 2
 
 

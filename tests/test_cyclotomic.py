@@ -18,11 +18,12 @@ from refleig.cyclotomic import (
     ORDER_CAP,
     ZERO,
     cyc,
+    _int_poly_div_exact,
     cyclotomic_polynomial,
     embed_complex,
     euler_phi,
 )
-from refleig.errors import OrderLimitError
+from refleig.errors import InternalConsistencyError, OrderLimitError
 from refleig.parsing import format_scalar, parse_scalar
 
 
@@ -107,6 +108,12 @@ def test_cyclotomic_polynomial_values():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert len(cyclotomic_polynomial(12)) == euler_phi(12) + 1
+
+
+def test_inexact_polynomial_division_raises():
+    # x^2 + 1 is not divisible by x + 1; must fail even under python -O
+    with pytest.raises(InternalConsistencyError):
+        _int_poly_div_exact([1, 0, 1], [1, 1])
 
 
 def test_scalar_format_round_trip():

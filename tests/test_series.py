@@ -5,12 +5,15 @@ partitions of k into parts of bounded size, computed here by direct dynamic
 programming and frozen into the expected lists.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
 
+from refleig import series as series_module
 from refleig.errors import InternalConsistencyError, NotReflectionSeriesError
 from refleig.groups import builtin
+from refleig.report import PipelineConfig, verify_all
 from refleig.series import (
     DegreeVector,
     SeriesQ,
@@ -46,6 +49,12 @@ def test_molien_symmetric_is_bounded_partition_count():
         series = molien(builtin(f"symmetric:{n}"))
         expected = bounded_partition_counts(n, series.truncation)
         assert [int(series[k]) for k in range(series.truncation + 1)] == expected
+    # hyperoctahedral:3 has classes of unequal size; its series is
+    # prod 1/(1 - t^(2i)), i = 1..3, the symmetric:3 series in t^2
+    series = molien(builtin("hyperoctahedral:3"))
+    half = bounded_partition_counts(3, series.truncation // 2)
+    expected = [0 if k % 2 else half[k // 2] for k in range(series.truncation + 1)]
+    assert [int(series[k]) for k in range(series.truncation + 1)] == expected
 
 
 def test_molien_coefficients_are_nonnegative_integers():
@@ -118,6 +127,26 @@ def test_series_identity_detects_wrong_degrees():
     group = builtin("dihedral:4")
     wrong = DegreeVector((1, 8), 2, 8)  # right product, wrong degrees
     assert not series_identity_check(group, degrees=wrong)
+
+
+def test_verify_all_computes_molien_once(monkeypatch):
+    original = series_module.molien
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    bindings = 0
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "refleig":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+                    bindings += 1
+    assert bindings >= 2  # the defining module and at least one importer
+    verify_all(builtin("dihedral:3"), None, PipelineConfig(battery_generic=1))
+    assert len(calls) == 1
 
 
 def test_series_reciprocal():
