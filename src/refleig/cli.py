@@ -38,14 +38,27 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
-def _nonnegative_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
+def _int_at_least(minimum):
+    """argparse type: an integer >= minimum, else a usage error (exit 2)."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+# The numeric rank checks threshold singular values at 2^(-precision/2); at 64
+# bits that is 2^(-32), far above the 2^(-precision+4) embedding error.  Below
+# it a correct certificate can read as a mathematical failure.
+MIN_PRECISION = 64
 
 
 def _add_common(sub, with_weight=False):
@@ -61,8 +74,11 @@ def _add_common(sub, with_weight=False):
     sub.add_argument(
         "--out", metavar="FILE", help="write the report to FILE instead of stdout"
     )
-    sub.add_argument("--max-degree", type=_nonnegative_int, default=None, metavar="N")
-    sub.add_argument("--precision", type=int, default=128, metavar="BITS")
+    sub.add_argument("--max-degree", type=_int_at_least(0), default=None, metavar="N")
+    sub.add_argument(
+        "--precision", type=_int_at_least(MIN_PRECISION), default=128,
+        metavar="BITS",
+    )
     sub.add_argument("--seed", type=int, default=0, metavar="S")
     sub.add_argument(
         "--timings", action="store_true", help="include wall-clock timings"

@@ -7,6 +7,18 @@ descend to the smallest cyclotomic field containing the value (the conductor),
 so equality and hashing are structural even across mixed constructions:
 E(6)**3 == -1 holds with both sides stored identically.
 
+Descent goes one prime at a time, trying the primes of m in ascending order
+and restarting after each successful step.  A step from Q(zeta_m) to
+Q(zeta_{m/p}) is closed form, with no linear solve:
+
+- when p^2 | m, z^p generates the subfield and 1, z, ..., z^(p-1) is a basis
+  over it, so the value descends exactly when every coordinate at an index
+  not divisible by p is zero, and the subfield coordinates are vec[::p];
+- otherwise m = p m' with gcd(p, m') = 1 and Q(zeta_m) = Q(zeta_m') (x)
+  Q(zeta_p).  Regrouping the value as sum_b c_b zeta_p^b with c_b in
+  Q(zeta_m'), it descends exactly when c_1 = ... = c_(p-1), and then equals
+  c_0 - c_(p-1).  For p = 2 this always holds: Q(zeta_2m') = Q(zeta_m').
+
 Rational coefficients are `fractions.Fraction` throughout; nothing here is
 floating point except the explicit high-precision embedding at the bottom.
 """
@@ -19,7 +31,6 @@ from functools import lru_cache
 
 import mpmath
 
-from . import linalg
 from .errors import InternalConsistencyError, OrderLimitError
 
 Rational = Fraction
@@ -133,49 +144,39 @@ def _reduce(m, terms):
     return vec
 
 
-def _sigma(m, vec, j):
-    # Galois automorphism z -> z^j, gcd(j, m) = 1
-    return _reduce(m, {(i * j): c for i, c in enumerate(vec) if c})
+def _descend(m, p, vec):
+    """Coordinates of (m, vec) in Q(zeta_{m/p}), or None when outside it.
 
-
-@lru_cache(maxsize=None)
-def _descent_galois(m, p):
-    """Galois elements fixing Q(zeta_{m/p}) inside Q(zeta_m)."""
-    sub = m // p
-    return tuple(
-        j
-        for j in range(2, m)
-        if (j - 1) % sub == 0 and math.gcd(j, m) == 1
-    )
-
-
-@lru_cache(maxsize=None)
-def _descent_basis(m, p):
-    """Images of the Q(zeta_{m/p}) power basis inside Q(zeta_m), as rows.
-
-    Built only after Galois fixedness is confirmed; for large m this is the
-    expensive half of a descent step.
+    One closed-form step in O(phi(m)) for a prime p | m; the module
+    docstring gives both cases.
     """
     sub = m // p
-    step = m // sub
-    return tuple(
-        tuple(_reduce(m, {i * step: _ONE})) for i in range(euler_phi(sub))
-    )
+    if sub % p == 0:
+        if any(c for j, c in enumerate(vec) if j % p):
+            return None
+        return vec[::p]
+    # z^j = zeta_sub^a zeta_p^b with a = j/p mod sub, b = j/sub mod p (CRT)
+    inv_p = pow(p, -1, sub)
+    inv_sub = pow(sub, -1, p)
+    parts = [{} for _ in range(p)]
+    for j, c in enumerate(vec):
+        if c:
+            parts[j * inv_sub % p][j * inv_p % sub] = c
+    cs = [_reduce(sub, t) for t in parts]
+    last = cs[-1]
+    if any(c != last for c in cs[1:-1]):
+        return None
+    return [a - b for a, b in zip(cs[0], last)]
 
 
 def _canonicalize(m, vec):
     """Descend (m, vec) to the conductor of the value it represents."""
     while m > 1:
         for p in prime_factors(m):
-            galois = _descent_galois(m, p)
-            if all(_sigma(m, vec, j) == vec for j in galois):
-                basis_cols = _descent_basis(m, p)
-                rows = [list(r) for r in zip(*basis_cols)]
-                sol = linalg.solve(rows, vec, ncols=len(basis_cols))
-                if sol is None:
-                    raise InternalConsistencyError("Galois-fixed value must descend")
+            sub = _descend(m, p, vec)
+            if sub is not None:
                 m //= p
-                vec = sol
+                vec = sub
                 break
         else:
             break

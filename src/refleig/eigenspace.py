@@ -415,6 +415,9 @@ def _numeric_rank(rows, precision):
         return sum(1 for k in range(sing.rows) if sing[k] > threshold)
 
 
+_SEPARATION_DOUBLINGS = 4
+
+
 def dual_sample_elements(m: InducedModel, rng=None, bound: int = 9, max_tries: int = 1000):
     """Spanning sample set for the dual-orbit test: powers of one translation.
 
@@ -423,6 +426,10 @@ def dual_sample_elements(m: InducedModel, rng=None, bound: int = 9, max_tries: i
     a Vandermonde matrix in the distinct values e^-<mu, y>.  Exponentials of
     distinct purely imaginary algebraic numbers never coincide, so for a
     generic weight the rows provably span.
+
+    Translations are drawn from the box [-bound, bound]^n; after `max_tries`
+    failed draws the box doubles, up to `_SEPARATION_DOUBLINGS` times, since a
+    large orbit need not be separated by any point of a small box.
     """
     import random as _random
 
@@ -430,14 +437,16 @@ def dual_sample_elements(m: InducedModel, rng=None, bound: int = 9, max_tries: i
         rng = _random.Random(0)
     group = m.group
     reps = [m.orbit.points[cls[0]] for cls in m.orbit.classes]
-    for _ in range(max_tries):
-        y = tuple(rng.randint(-bound, bound) for _ in range(group.dimension))
-        pairings = [_pairing(mu, [cyc(t) for t in y]) for mu in reps]
-        if len(set(pairings)) == len(pairings):
-            return [
-                GroupElement(group, tuple(j * t for t in y), 0)
-                for j in range(group.order)
-            ]
+    for _ in range(_SEPARATION_DOUBLINGS + 1):
+        for _ in range(max_tries):
+            y = tuple(rng.randint(-bound, bound) for _ in range(group.dimension))
+            pairings = [_pairing(mu, [cyc(t) for t in y]) for mu in reps]
+            if len(set(pairings)) == len(pairings):
+                return [
+                    GroupElement(group, tuple(j * t for t in y), 0)
+                    for j in range(group.order)
+                ]
+        bound *= 2
     raise InternalConsistencyError("could not find a separating translation")
 
 

@@ -80,9 +80,6 @@ class RMatrix:
     def transpose(self):
         return RMatrix(list(zip(*self.rows)))
 
-    def det(self):
-        return linalg.det(self.rows)
-
     def is_identity(self):
         return self == RMatrix.identity(self.dimension)
 
@@ -117,6 +114,7 @@ class ReflectionGroup:
         self._mult = None
         self._inv = None
         self._reflection_flags = None
+        self._action_powers = None
 
     @property
     def order(self):
@@ -148,6 +146,13 @@ class ReflectionGroup:
         return self._inv
 
     @property
+    def action_powers(self):
+        """One memo per element for `polynomials.reynolds`, filled lazily."""
+        if self._action_powers is None:
+            self._action_powers = [{} for _ in self.elements]
+        return self._action_powers
+
+    @property
     def reflection_flags(self):
         if self._reflection_flags is None:
             self._reflection_flags = tuple(
@@ -176,7 +181,7 @@ def closure(generators, max_order=DEFAULT_MAX_ORDER, dimension=None, name=None):
     if any(g.dimension != n for g in generators):
         raise ValueError("generators must share one dimension")
     for g in generators:
-        if not g.det():
+        if linalg.rank(g.rows, n) != n:
             raise ValueError("generators must be invertible")
     ident = RMatrix.identity(n)
     elements = [ident]

@@ -95,61 +95,6 @@ def nullspace(rows, ncols, one=Fraction(1)):
     return basis
 
 
-def solve(a_rows, b, ncols=None):
-    """One exact solution of A x = b, or None when inconsistent.
-
-    Free variables are set to zero, so the solution is deterministic.
-    """
-    if ncols is None:
-        ncols = len(a_rows[0]) if a_rows else 0
-    aug = [list(r) + [bv] for r, bv in zip(a_rows, b)]
-    red, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
-        return None  # pivot in the constant column: inconsistent
-    zero_template = None
-    for row in a_rows:
-        for x in row:
-            zero_template = x - x
-            break
-        if zero_template is not None:
-            break
-    if zero_template is None:
-        zero_template = b[0] - b[0]
-    sol = [zero_template] * ncols
-    for prow, pcol in zip(red, pivots):
-        sol[pcol] = prow[ncols]
-    return sol
-
-
-def det(a):
-    """Exact determinant by fraction-producing elimination."""
-    n = len(a)
-    work = [list(r) for r in a]
-    sign_flip = False
-    result = None
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            x = work[0][0]
-            return x - x  # singular: zero of the right type
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            sign_flip = not sign_flip
-        piv = work[c][c]
-        result = piv if result is None else result * piv
-        for i in range(c + 1, n):
-            if work[i][c]:
-                f = work[i][c] / piv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    if sign_flip:
-        result = (result - result) - result
-    return result
-
-
 def charpoly(a, one):
     """Coefficients of det(sI - A), constant term first (Faddeev-LeVerrier)."""
     n = len(a)

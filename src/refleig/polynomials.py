@@ -212,11 +212,6 @@ def poly_from_vector(nvars, monos, vec):
     return Poly(nvars, {e: c for e, c in zip(monos, vec) if c})
 
 
-# Powers of substituted variables are memoized per (matrix, variable, power);
-# groups are small and reused heavily by the Reynolds projection.
-_POWER_CACHE = {}
-
-
 def _variable_images(k):
     """Images of the variables under the action of k: x_i -> (k^T x)_i."""
     n = k.dimension
@@ -233,36 +228,45 @@ def _variable_images(k):
     return images
 
 
-def _image_power(k, i, e):
-    key = (k, i, e)
-    got = _POWER_CACHE.get(key)
+def _image_power(k, i, e, powers):
+    # powers memoizes (variable, exponent) -> image power for this one k
+    key = (i, e)
+    got = powers.get(key)
     if got is None:
         if e == 1:
             got = _variable_images(k)[i]
         else:
-            got = _image_power(k, i, e - 1) * _image_power(k, i, 1)
-        _POWER_CACHE[key] = got
+            got = _image_power(k, i, e - 1, powers) * _image_power(k, i, 1, powers)
+        powers[key] = got
     return got
 
 
-def act(k, p: Poly) -> Poly:
-    """Action of the group element k on a polynomial (substitute k^T x)."""
+def _act(k, p, powers):
     n = k.dimension
     acc = Poly.zero(n)
     for e, c in p.terms.items():
         term = Poly.constant(n, c)
         for i, exp in enumerate(e):
             if exp:
-                term = term * _image_power(k, i, exp)
+                term = term * _image_power(k, i, exp, powers)
         acc = acc + term
     return acc
 
 
+def act(k, p: Poly) -> Poly:
+    """Action of the group element k on a polynomial (substitute k^T x)."""
+    return _act(k, p, {})
+
+
 def reynolds(group, p: Poly) -> Poly:
-    """Average of the group action: the projection onto invariants."""
+    """Average of the group action: the projection onto invariants.
+
+    Powers of substituted variables are memoized per group element in
+    `group.action_powers`, so the memo lives exactly as long as the group.
+    """
     acc = Poly.zero(p.nvars)
-    for k in group.elements:
-        acc = acc + act(k, p)
+    for k, powers in zip(group.elements, group.action_powers):
+        acc = acc + _act(k, p, powers)
     return acc * Fraction(1, len(group.elements))
 
 

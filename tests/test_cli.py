@@ -244,6 +244,16 @@ def test_group_file_scalar_error_is_usage(tmp_path, capsys):
     assert "generator" in err
 
 
+def test_singular_generator_is_usage(tmp_path, capsys):
+    path = tmp_path / "singular.json"
+    path.write_text(
+        json.dumps({"dimension": 2, "generators": [[["1", "0"], ["0", "0"]]]})
+    )
+    code, _, err = run_cli(capsys, "info", "--group", str(path))
+    assert code == 2
+    assert "generators must be invertible" in err
+
+
 def test_missing_group_file_is_usage(capsys):
     code, _, err = run_cli(capsys, "info", "--group", "/nonexistent/g.json")
     assert code == 2
@@ -260,6 +270,11 @@ def test_argparse_failures_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["molien", "--builtin", "dihedral:3", "--max-degree", "-3"])
     assert exc.value.code == 2
+    # below 64 bits a numeric check can report a false mathematical failure
+    for bits in ("0", "8", "-4"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-all", "--builtin", "dihedral:3", "--precision", bits])
+        assert exc.value.code == 2
 
 
 def test_version_flag(capsys):

@@ -4,6 +4,7 @@ Numeric reference values were frozen from mpmath evaluations at 60 digits;
 structural identities are classical root-of-unity facts checked by hand.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -19,6 +20,7 @@ from refleig.cyclotomic import (
     ZERO,
     cyc,
     _int_poly_div_exact,
+    _reduce,
     cyclotomic_polynomial,
     embed_complex,
     euler_phi,
@@ -191,3 +193,69 @@ def test_format_parse_round_trip(a):
 def test_structural_equality_implies_equal_hash(a, b):
     if a == b:
         assert hash(a) == hash(b)
+
+
+# -- conductor oracle ---------------------------------------------------------
+#
+# An independent reference for canonical descent: Q(zeta_d) inside Q(zeta_m)
+# is the field fixed by the Galois maps z -> z^j with j = 1 (mod d), so the
+# conductor of a value is the smallest d | m whose maps all fix its reduced
+# coordinate vector at order m.  Orders cover both descent steps (p^2 | m and
+# p || m, also with cofactor above 4).
+
+_ORACLE_ORDERS = (6, 10, 12, 18, 20, 28, 36, 45, 60, 84)
+
+
+def _fixing_maps(m, d):
+    return [j for j in range(1, m) if j % d == 1 % d and math.gcd(j, m) == 1]
+
+
+def _galois_image(m, terms, j):
+    out = {}
+    for e, c in terms.items():
+        out[e * j % m] = out.get(e * j % m, Fraction(0)) + c
+    return out
+
+
+def _oracle_conductor(m, terms):
+    vec = _reduce(m, terms)
+    for d in range(1, m + 1):
+        if m % d == 0 and all(
+            _reduce(m, _galois_image(m, terms, j)) == vec
+            for j in _fixing_maps(m, d)
+        ):
+            return d
+    raise AssertionError("d = m always qualifies")
+
+
+@st.composite
+def values_at_order(draw):
+    m = draw(st.sampled_from(_ORACLE_ORDERS))
+    terms = draw(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=m - 1),
+            _fractions.filter(bool),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    # a trace down to Q(zeta_d) hides the subfield from the exponents; d = 1
+    # and d = 2 would only give rationals, which other traces reach anyway
+    d = draw(st.sampled_from([d for d in range(3, m + 1) if m % d == 0]))
+    traced = {}
+    for j in _fixing_maps(m, d):
+        for e, c in _galois_image(m, terms, j).items():
+            traced[e] = traced.get(e, Fraction(0)) + c
+    return m, traced
+
+
+@settings(max_examples=80, deadline=None)
+@given(values_at_order())
+def test_conductor_matches_galois_oracle(case):
+    m, terms = case
+    value = Cyclotomic(m, terms)
+    assert value.order == _oracle_conductor(m, terms)
+    # promoted back to order m, the canonical coordinates are the value's own
+    step = m // value.order
+    promoted = {i * step: c for i, c in value.coeffs.items()}
+    assert _reduce(m, promoted) == _reduce(m, terms)

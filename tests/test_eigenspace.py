@@ -353,6 +353,16 @@ def test_dual_cyclic_tracks_genericity():
     assert not dual_cyclic_check(pinned, dual_sample_elements(pinned))
 
 
+def test_dual_samples_widen_the_box_when_it_cannot_separate():
+    # no point of [-9, 9]^3 separates the 48 orbit points of this weight
+    group = builtin("hyperoctahedral:3")
+    m = InducedModel.build(imag_weight(group, (-3, 4, -1)))
+    samples = dual_sample_elements(m, random.Random(0), max_tries=50)
+    y = samples[1].translation
+    assert max(abs(t.to_fraction()) for t in y) > 9
+    assert dual_cyclic_check(m, samples)
+
+
 def test_dual_cyclic_rejects_small_or_redundant_samples():
     group = builtin("dihedral:3")
     m = InducedModel.build(imag_weight(group, (1, 2)))
