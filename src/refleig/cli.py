@@ -19,6 +19,7 @@ from .errors import (
 from .groups import builtin, load_group_file
 from .harmonics import compute_harmonics, find_fundamental_invariants
 from .report import (
+    MIN_PRECISION,
     PipelineConfig,
     eigenspace_section,
     group_section,
@@ -53,12 +54,6 @@ def _int_at_least(minimum):
         return value
 
     return parse
-
-
-# The numeric rank checks threshold singular values at 2^(-precision/2); at 64
-# bits that is 2^(-32), far above the 2^(-precision+4) embedding error.  Below
-# it a correct certificate can read as a mathematical failure.
-MIN_PRECISION = 64
 
 
 def _add_common(sub, with_weight=False):

@@ -128,14 +128,8 @@ class FormalExp:
             for s, c in terms.items():
                 s = cyc(s)
                 c = cyc(c)
-                if not c:
-                    continue
-                acc = clean.get(s)
-                total = c if acc is None else acc + c
-                if total:
-                    clean[s] = total
-                else:
-                    clean.pop(s, None)
+                if c:
+                    linalg.add_term(clean, s, c)
             self.terms = clean
 
     @staticmethod
@@ -165,12 +159,7 @@ class FormalExp:
             other = FormalExp.constant(other)
         out = dict(self.terms)
         for s, c in other.terms.items():
-            acc = out.get(s)
-            total = c if acc is None else acc + c
-            if total:
-                out[s] = total
-            else:
-                out.pop(s, None)
+            linalg.add_term(out, s, c)
         return FormalExp(out, _clean=True)
 
     def __neg__(self):
@@ -187,14 +176,7 @@ class FormalExp:
         out = {}
         for s1, c1 in self.terms.items():
             for s2, c2 in other.terms.items():
-                s = s1 + s2
-                c = c1 * c2
-                acc = out.get(s)
-                total = c if acc is None else acc + c
-                if total:
-                    out[s] = total
-                else:
-                    out.pop(s, None)
+                linalg.add_term(out, s1 + s2, c1 * c2)
         return FormalExp(out, _clean=True)
 
     __rmul__ = __mul__
@@ -224,14 +206,6 @@ class FormalExp:
 
 
 _FE_ONE = FormalExp.constant(1)
-
-
-def _pairing(u, v):
-    """Standard bilinear pairing sum u_i v_i (no conjugation)."""
-    acc = ZERO
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
 
 
 # -- induced model --------------------------------------------------------------
@@ -275,7 +249,7 @@ def model_act(m: InducedModel, g: GroupElement, v):
         src = table[k_inv][h]
         entry = v[src]
         if entry:
-            phase = FormalExp.exp(ZERO - _pairing(m.orbit.points[h], x))
+            phase = FormalExp.exp(-linalg.dot(m.orbit.points[h], x))
             entry = phase * entry
         out.append(entry)
     return out
@@ -299,14 +273,8 @@ class PlaneWaveSum:
                 mu = tuple(cyc(x) for x in mu)
                 if not isinstance(c, FormalExp):
                     c = FormalExp.constant(c)
-                if not c:
-                    continue
-                acc = clean.get(mu)
-                total = c if acc is None else acc + c
-                if total:
-                    clean[mu] = total
-                else:
-                    clean.pop(mu, None)
+                if c:
+                    linalg.add_term(clean, mu, c)
             self.waves = clean
 
     def __bool__(self):
@@ -320,12 +288,7 @@ class PlaneWaveSum:
     def __add__(self, other):
         out = dict(self.waves)
         for mu, c in other.waves.items():
-            acc = out.get(mu)
-            total = c if acc is None else acc + c
-            if total:
-                out[mu] = total
-            else:
-                out.pop(mu, None)
+            linalg.add_term(out, mu, c)
         return PlaneWaveSum(self.dimension, out, _clean=True)
 
     def __repr__(self):
@@ -343,15 +306,8 @@ def intertwiner(m: InducedModel, v) -> PlaneWaveSum:
     waves = {}
     for h in range(m.dimension):
         c = v[h]
-        if not c:
-            continue
-        mu = m.orbit.points[h]
-        acc = waves.get(mu)
-        total = c if acc is None else acc + c
-        if total:
-            waves[mu] = total
-        else:
-            waves.pop(mu, None)
+        if c:
+            linalg.add_term(waves, m.orbit.points[h], c)
     return PlaneWaveSum(m.group.dimension, waves, _clean=True)
 
 
@@ -363,14 +319,8 @@ def eigenspace_action(group: ReflectionGroup, g: GroupElement, p: PlaneWaveSum) 
     out = {}
     for mu, c in p.waves.items():
         new_mu = k.apply(mu)
-        phase = FormalExp.exp(ZERO - _pairing(new_mu, y))
-        term = phase * c
-        acc = out.get(new_mu)
-        total = term if acc is None else acc + term
-        if total:
-            out[new_mu] = total
-        else:
-            out.pop(new_mu, None)
+        phase = FormalExp.exp(-linalg.dot(new_mu, y))
+        linalg.add_term(out, new_mu, phase * c)
     return PlaneWaveSum(p.dimension, out, _clean=True)
 
 
@@ -387,7 +337,7 @@ def eigen_check(p: PlaneWaveSum, invariants, w: Weight) -> bool:
     This is the exact statement that p lies in the joint eigenspace cut out
     by the invariant differential operators at the weight's eigenvalues.
     """
-    lam_values = [gen.evaluate(w.entries) for gen in invariants.generators]
+    lam_values = invariant_eigenvalues(invariants, w)
     for mu in p.waves:
         for gen, target in zip(invariants.generators, lam_values):
             if gen.evaluate(mu) != target:
@@ -440,7 +390,7 @@ def dual_sample_elements(m: InducedModel, rng=None, bound: int = 9, max_tries: i
     for _ in range(_SEPARATION_DOUBLINGS + 1):
         for _ in range(max_tries):
             y = tuple(rng.randint(-bound, bound) for _ in range(group.dimension))
-            pairings = [_pairing(mu, [cyc(t) for t in y]) for mu in reps]
+            pairings = [linalg.dot(mu, [cyc(t) for t in y]) for mu in reps]
             if len(set(pairings)) == len(pairings):
                 return [
                     GroupElement(group, tuple(j * t for t in y), 0)
@@ -600,7 +550,7 @@ def evaluation_matrix(w: Weight, harmonics: HarmonicSpace, base_point=None):
     for x in x0:
         if not x.is_real():
             raise ValueError("base point entries must be real")
-    factors = [FormalExp.exp(_pairing(mu, x0)) for mu in cols]
+    factors = [FormalExp.exp(linalg.dot(mu, x0)) for mu in cols]
     return [
         [factors[k] * FormalExp.constant(entry) for k, entry in enumerate(row)]
         for row in plain
@@ -669,13 +619,10 @@ def commutant_dimension(m: InducedModel, sample_translations, precision: int = 1
 
     # exact block-structure path
     pclass = m.orbit.point_class
-    exact_dim = 0
-    admissible = []
-    for g in range(group.order):
-        ok = all(pclass[table[h][g]] == pclass[h] for h in range(group.order))
-        admissible.append(ok)
-        if ok:
-            exact_dim += 1
+    exact_dim = sum(
+        all(pclass[table[h][g]] == pclass[h] for h in range(group.order))
+        for g in range(group.order)
+    )
 
     # numeric path at the requested precision
     threshold = mpmath.mpf(2) ** (-(precision // 2))
@@ -685,7 +632,7 @@ def commutant_dimension(m: InducedModel, sample_translations, precision: int = 1
             x = [cyc(v) for v in t]
             diag.append(
                 [
-                    mpmath.exp(-(_pairing(mu, x).embed(precision)))
+                    mpmath.exp(-(linalg.dot(mu, x).embed(precision)))
                     for mu in m.orbit.points
                 ]
             )
@@ -741,7 +688,7 @@ def degenerate_weight(group, rng, bound: int = 9, max_tries: int = 1000) -> Weig
         s = reflections[rng.randrange(len(reflections))]
         n = group.dimension
         diff = [
-            [s.rows[i][j] - (ONE if i == j else ZERO) for j in range(n)]
+            [s.rows[i][j] - ONE if i == j else s.rows[i][j] for j in range(n)]
             for i in range(n)
         ]
         fixed = linalg.nullspace(diff, n, ONE)

@@ -94,7 +94,7 @@ def is_pseudo_reflection(m: RMatrix) -> bool:
     """Exact test that m fixes a hyperplane: rank(m - I) = 1."""
     n = m.dimension
     diff = [
-        [m.rows[i][j] - (ONE if i == j else ZERO) for j in range(n)]
+        [m.rows[i][j] - ONE if i == j else m.rows[i][j] for j in range(n)]
         for i in range(n)
     ]
     return linalg.rank(diff, n) == 1
@@ -406,7 +406,7 @@ def g_inverse(a: GroupElement) -> GroupElement:
     inv_rot = a.group.inverse_table[a.rotation]
     inv_mat = a.group.elements[inv_rot]
     moved = inv_mat.apply(a.translation)
-    trans = tuple(ZERO - x for x in moved)
+    trans = tuple(-x for x in moved)
     return GroupElement(a.group, trans, inv_rot)
 
 

@@ -11,7 +11,7 @@ group order, both asserted.
 from dataclasses import dataclass
 
 from . import linalg
-from .cyclotomic import ONE
+from .cyclotomic import ONE, ZERO
 from .errors import GeneratorSearchError, InternalConsistencyError
 from .polynomials import (
     Poly,
@@ -153,14 +153,13 @@ def compute_harmonics(group, invariants: FundamentalInvariants) -> HarmonicSpace
                 img = diff_apply(gen, Poly.monomial(n, e))
                 for te, c in img.terms.items():
                     block[target_index[te]][col] = c
-            zero = ONE - ONE
             for row in block:
-                rows.append([zero if x is None else x for x in row])
+                rows.append([ZERO if x is None else x for x in row])
         if rows:
             kernel = linalg.nullspace(rows, len(monos), ONE)
         else:
             kernel = [
-                [ONE if i == j else ONE - ONE for j in range(len(monos))]
+                [ONE if i == j else ZERO for j in range(len(monos))]
                 for i in range(len(monos))
             ]
         if len(kernel) != want:

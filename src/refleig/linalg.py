@@ -5,34 +5,42 @@ Every routine works for scalars supporting +, -, *, /, == and truth-testing
 are lists of row lists.  Sizes here are desk scale, so plain Gaussian
 elimination with first-nonzero pivoting is used throughout; pivot choice is
 deterministic, which several callers rely on for reproducible bases.
+
+Every exact sum in the package goes through one of two accumulators:
+`add_term` for sparse sums keyed by exponent, and `dot` for dense sums of
+products.  Neither ever adds into an exact zero, because each `Cyclotomic`
+addition is a full construction and canonicalization, and `ZERO + x` pays
+for one that changes nothing.
 """
 
 from fractions import Fraction
 
 
+def add_term(out, key, value):
+    """Add `value` into the sparse sum `out` at `key`; a cancelled key is dropped."""
+    acc = out.get(key)
+    total = value if acc is None else acc + value
+    if total:
+        out[key] = total
+    else:
+        out.pop(key, None)
+
+
+def dot(u, v):
+    """Sum of u[i] * v[i] over nonempty u and v, started from the first product."""
+    acc = u[0] * v[0]
+    for k in range(1, len(u)):
+        acc = acc + u[k] * v[k]
+    return acc
+
+
 def mat_mul(a, b):
-    rows, mid, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(rows):
-        arow = a[i]
-        row = []
-        for j in range(cols):
-            acc = arow[0] * b[0][j]
-            for k in range(1, mid):
-                acc = acc + arow[k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    cols = list(zip(*b))
+    return [[dot(arow, col) for col in cols] for arow in a]
 
 
 def mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = row[0] * v[0]
-        for k in range(1, len(v)):
-            acc = acc + row[k] * v[k]
-        out.append(acc)
-    return out
+    return [dot(row, v) for row in a]
 
 
 def rref(rows, ncols):
@@ -90,7 +98,7 @@ def nullspace(rows, ncols, one=Fraction(1)):
         vec = [zero] * ncols
         vec[free] = one
         for prow, pcol in zip(red, pivots):
-            vec[pcol] = zero - prow[free]
+            vec[pcol] = -prow[free]
         basis.append(vec)
     return basis
 
@@ -98,21 +106,19 @@ def nullspace(rows, ncols, one=Fraction(1)):
 def charpoly(a, one):
     """Coefficients of det(sI - A), constant term first (Faddeev-LeVerrier)."""
     n = len(a)
-    zero = one - one
-    coeffs = [zero] * (n + 1)
-    coeffs[n] = one
-    m = [[zero] * n for _ in range(n)]
+    coeffs = [None] * n + [one]
+    am = [list(row) for row in a]  # A M_1, since M_1 = I
     for k in range(1, n + 1):
-        # M_k = A M_{k-1} + c_{n-k+1} I
-        m = mat_mul(a, m)
-        ck = coeffs[n - k + 1]
-        for i in range(n):
-            m[i][i] = m[i][i] + ck
-        am = mat_mul(a, m)
         tr = am[0][0]
         for i in range(1, n):
             tr = tr + am[i][i]
-        coeffs[n - k] = zero - tr * Fraction(1, k)
+        ck = -(tr * Fraction(1, k))
+        coeffs[n - k] = ck
+        if k < n:
+            # M_{k+1} = A M_k + c_{n-k} I
+            for i in range(n):
+                am[i][i] = am[i][i] + ck
+            am = mat_mul(a, am)
     return coeffs
 
 

@@ -71,11 +71,7 @@ class Poly:
             other = Poly.constant(self.nvars, other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            linalg.add_term(out, e, c)
         return Poly(self.nvars, out, _clean=True)
 
     def __neg__(self):
@@ -102,11 +98,7 @@ class Poly:
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, ZERO) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                linalg.add_term(out, e, ca * cb)
         return Poly(self.nvars, out, _clean=True)
 
     __rmul__ = __mul__
@@ -157,7 +149,7 @@ class Poly:
     def evaluate(self, point):
         """Exact value at a vector of cyclotomic scalars."""
         point = [cyc(x) for x in point]
-        acc = ZERO
+        acc = None
         powers = [{0: ONE} for _ in range(self.nvars)]
 
         def var_pow(i, k):
@@ -171,8 +163,8 @@ class Poly:
             for i, k in enumerate(e):
                 if k:
                     term = term * var_pow(i, k)
-            acc = acc + term
-        return acc
+            acc = term if acc is None else acc + term
+        return ZERO if acc is None else acc
 
     def substitute(self, images):
         """Substitute variable i by the polynomial images[i]."""
@@ -285,11 +277,7 @@ def diff_apply(op: Poly, f: Poly) -> Poly:
                     if ai:
                         factor *= math.perm(bi, ai)
                 e = tuple(bi - ai for ai, bi in zip(a, b))
-                s = out.get(e, ZERO) + c * d * factor
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                linalg.add_term(out, e, c * d * factor)
     return Poly(f.nvars, out, _clean=True)
 
 
@@ -298,12 +286,9 @@ def invariant_subspace(group, degree: int):
     n = group.dimension
     monos = monomials_of_degree(n, degree)
     span = linalg.RowSpan(len(monos))
-    basis = []
     for e in monos:
         img = reynolds(group, Poly.monomial(n, e))
-        vec = coeff_vector(img, monos)
-        if span.add(vec):
-            pass
+        span.add(coeff_vector(img, monos))
     # RowSpan keeps its rows in reduced echelon form sorted by pivot, which
     # makes the returned basis canonical for the monomial order.
     return [poly_from_vector(n, monos, row) for row in span.rows]

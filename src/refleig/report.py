@@ -69,6 +69,12 @@ CONVENTION_NOTE = (
 )
 
 
+# The numeric rank checks threshold singular values at 2^(-precision/2); at 64
+# bits that is 2^(-32), far above the 2^(-precision+4) embedding error.  Below
+# it a correct certificate can read as a mathematical failure.
+MIN_PRECISION = 64
+
+
 @dataclass
 class PipelineConfig:
     """Knobs shared by the CLI subcommands and the full verification run."""
@@ -79,6 +85,14 @@ class PipelineConfig:
     equivariance_trials: int = 20
     battery_generic: int = 5
     collect_timings: bool = False
+
+    def __post_init__(self):
+        if self.precision < MIN_PRECISION:
+            raise ValueError(
+                f"precision must be at least {MIN_PRECISION} bits, got {self.precision}"
+            )
+        if self.max_degree is not None and self.max_degree < 0:
+            raise ValueError(f"max_degree must be >= 0, got {self.max_degree}")
 
 
 class _Timings:

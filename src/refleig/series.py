@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cyclotomic import ONE, ZERO
+from .cyclotomic import ONE
 from .errors import InternalConsistencyError, NotReflectionSeriesError
 
 _QZERO = Fraction(0)
@@ -42,11 +42,12 @@ def _seq_recip(a, trunc):
     zero = a0 - a0
     out = [inv0]
     for k in range(1, trunc + 1):
-        acc = zero
+        acc = None
         for i in range(1, min(k, len(a) - 1) + 1):
             if a[i]:
-                acc = acc + a[i] * out[k - i]
-        out.append(zero - inv0 * acc)
+                term = a[i] * out[k - i]
+                acc = term if acc is None else acc + term
+        out.append(zero if acc is None else -(inv0 * acc))
     return out
 
 
@@ -138,10 +139,10 @@ def molien(group, truncation=None) -> SeriesQ:
     if truncation is None:
         truncation = default_truncation(group)
     multiplicity = Counter(_det_one_minus_t(k) for k in group.elements)
-    total = [ZERO] * (truncation + 1)
+    total = None
     for det_poly, count in multiplicity.items():
-        inv = _seq_recip(det_poly, truncation)
-        total = [a + b * count for a, b in zip(total, inv)]
+        inv = [b * count for b in _seq_recip(det_poly, truncation)]
+        total = inv if total is None else [a + b for a, b in zip(total, inv)]
     scale = Fraction(1, group.order)
     out = []
     for idx, c in enumerate(total):
@@ -175,12 +176,6 @@ def _poly_divide_linear_factor(p, d):
     for i in range(len(q)):
         q[i] = p[i] + (q[i - d] if i - d >= 0 else _QZERO)
     # remainder check: (1 - t^d) q must reproduce p exactly
-    for i in range(len(q), deg + 1):
-        rem = p[i] + (q[i - d] if i - d >= 0 else _QZERO) - (
-            q[i] if i < len(q) else _QZERO
-        )
-        if rem:
-            return None
     check = [_QZERO] * (deg + 1)
     for i, c in enumerate(q):
         check[i] += c

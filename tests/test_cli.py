@@ -8,7 +8,7 @@ import pytest
 
 from refleig import __version__
 from refleig.cli import main
-from refleig.report import NON_GENERIC_STATUS
+from refleig.report import MIN_PRECISION, NON_GENERIC_STATUS, PipelineConfig
 
 TOP_LEVEL_ORDER = [
     "schema_version",
@@ -275,6 +275,19 @@ def test_argparse_failures_exit_two():
         with pytest.raises(SystemExit) as exc:
             main(["verify-all", "--builtin", "dihedral:3", "--precision", bits])
         assert exc.value.code == 2
+
+
+def test_pipeline_config_rejects_unsafe_values():
+    # the library boundary needs the same floor as the CLI: at 8 bits
+    # verify_all reported thm-4.14 and thm-3.10 as fail on dihedral:3
+    with pytest.raises(ValueError):
+        PipelineConfig(precision=8)
+    with pytest.raises(ValueError):
+        PipelineConfig(precision=MIN_PRECISION - 1)
+    with pytest.raises(ValueError):
+        PipelineConfig(max_degree=-1)
+    config = PipelineConfig(precision=MIN_PRECISION, max_degree=0)
+    assert (config.precision, config.max_degree) == (MIN_PRECISION, 0)
 
 
 def test_version_flag(capsys):

@@ -99,6 +99,19 @@ def test_action_is_multiplicative(i, p, q):
     assert act(k, p * q) == act(k, p) * act(k, q)
 
 
+@settings(max_examples=50, deadline=None)
+@given(small_polys(), small_polys(), small_polys())
+def test_sums_are_exact_and_store_no_zero(p, q, r):
+    assert p * (q + r) == p * q + p * r
+    assert not (p - p).terms
+    for total in (p + q, p * q, diff_apply(p, q)):
+        assert all(total.terms.values())
+    point = (E(5), cyc(-2))
+    assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
+    assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
+    assert Poly.zero(2).evaluate(point) == 0
+
+
 def test_reynolds_projects_onto_invariants():
     group = builtin("dihedral:6")
     r = reynolds(group, P("x1^2"))

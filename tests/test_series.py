@@ -5,12 +5,14 @@ partitions of k into parts of bounded size, computed here by direct dynamic
 programming and frozen into the expected lists.
 """
 
+import random
 import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from refleig import series as series_module
+from refleig import linalg, series as series_module
 from refleig.errors import InternalConsistencyError, NotReflectionSeriesError
 from refleig.groups import builtin
 from refleig.report import PipelineConfig, verify_all
@@ -92,6 +94,13 @@ def test_degree_extraction_rejects_non_reflection_series():
     assert "not a reflection-group invariant series" in str(excinfo.value)
 
 
+def test_degree_extraction_rejects_an_inexact_division():
+    # 1/(1 + t^2) has reciprocal 1 + t^2, which (1 - t^2) does not divide
+    with pytest.raises(NotReflectionSeriesError) as excinfo:
+        extract_degrees(SeriesQ([1, 0, -1, 0, 1, 0, -1]), 2, 4)
+    assert "nonzero remainder dividing by (1 - t^2)" in str(excinfo.value)
+
+
 def test_degree_vector_validation():
     with pytest.raises(InternalConsistencyError):
         DegreeVector((2, 5), 2, 8)  # product mismatch
@@ -155,6 +164,20 @@ def test_series_reciprocal():
     prod = s.mul(r)
     assert int(prod[0]) == 1
     assert all(prod[k] == 0 for k in range(1, prod.truncation + 1))
+
+
+def test_charpoly_against_sympy():
+    # Faddeev-LeVerrier, which feeds every Molien summand, against sympy
+    rng = random.Random(3)
+    s = sympy.Symbol("s")
+    for n in range(1, 6):
+        a = [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        expected = sympy.Poly(sympy.Matrix(a).charpoly(s).as_expr(), s)
+        coeffs = [Fraction(str(c)) for c in reversed(expected.all_coeffs())]
+        assert linalg.charpoly(a, Fraction(1)) == coeffs
 
 
 def test_default_truncation_covers_extraction_bound():
