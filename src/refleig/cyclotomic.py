@@ -46,16 +46,8 @@ _ONE = Fraction(1)
 @lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     out = m
-    k = m
-    p = 2
-    while p * p <= k:
-        if k % p == 0:
-            out -= out // p
-            while k % p == 0:
-                k //= p
-        p += 1
-    if k > 1:
-        out -= out // k
+    for p in prime_factors(m):
+        out -= out // p
     return out
 
 

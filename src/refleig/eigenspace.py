@@ -25,7 +25,7 @@ from fractions import Fraction
 import mpmath
 
 from . import linalg
-from .cyclotomic import Cyclotomic, ONE, ZERO, cyc
+from .cyclotomic import Cyclotomic, ONE, ZERO, cyc, prime_factors
 from .errors import (
     InsufficientSamplesError,
     InternalConsistencyError,
@@ -99,17 +99,12 @@ def orbit(w: Weight) -> Orbit:
 
 
 def is_generic(w: Weight) -> bool:
-    """No element besides the identity fixes the weight."""
-    lam = w.entries
-    for m in w.group.elements[1:]:
-        if m.apply(lam) == lam:
-            return False
-    return True
+    """No element besides the identity fixes the weight (orbit-stabilizer)."""
+    return orbit(w).distinct_count == w.group.order
 
 
 def stabilizer_order(w: Weight) -> int:
-    lam = w.entries
-    return sum(1 for m in w.group.elements if m.apply(lam) == lam)
+    return w.group.order // orbit(w).distinct_count
 
 
 # -- formal exponential ring ---------------------------------------------------
@@ -422,55 +417,18 @@ def dual_cyclic_check(m: InducedModel, samples, precision: int = 128) -> bool:
 
 # -- modular rank certificate ------------------------------------------------------
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _split_prime(m: int, minimum: int) -> int:
     """Smallest prime p >= minimum with p = 1 mod m, so F_p contains zeta_m."""
     k = max(1, (minimum - 2) // m + 1)
     while True:
         p = m * k + 1
-        if p >= minimum and _is_prime(p):
+        if p >= minimum and prime_factors(p) == (p,):
             return p
         k += 1
 
 
 def _root_of_unity_mod(p: int, m: int) -> int:
-    factors = []
-    n = p - 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        factors.append(n)
+    factors = prime_factors(p - 1)
     g = 2
     while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
         g += 1

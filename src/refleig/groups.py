@@ -2,10 +2,12 @@
 
 Groups are enumerated by breadth-first closure from exact generator matrices;
 the resulting element order is deterministic (identity first, then insertion
-order of the search) and several downstream indices depend on it.  The
-pseudo-reflection test is exact rank(M - I) = 1, and the group-level test
-checks that the reflections regenerate the group and that every element is
-orthogonal.
+order of the search) and several downstream indices depend on it.  Closure
+is the only place elements are multiplied as matrices; every other product
+is read from the table of element-by-generator products it keeps.  The
+pseudo-reflection test is exact rank(M - I) = 1.  The group-level test checks
+that the generators are orthogonal (so every element is) and that the
+reflections generate the group, by a search over element indices.
 
 Elements of the motion group R^n x| K are (translation, rotation) pairs with
 the semidirect multiplication (x1, k1)(x2, k2) = (x1 + k1 x2, k1 k2).
@@ -101,14 +103,20 @@ def is_pseudo_reflection(m: RMatrix) -> bool:
 
 
 class ReflectionGroup:
-    """A finite matrix group; the name records how it was built."""
+    """A finite matrix group; the name records how it was built.
 
-    def __init__(self, elements, generator_indices, name=None):
+    `right[i][j]` is the index of elements[i] times generator j.  Closure
+    first reached element b > 0 as elements[i] times generator j with i < b,
+    and `reached[b]` is that (i, j); `reached[0]` is None.
+    """
+
+    def __init__(self, elements, right, reached, name=None):
         self.elements = tuple(elements)
-        self.generator_indices = tuple(generator_indices)
+        self.generator_indices = tuple(right[0])
+        self.right = right
+        self.reached = reached
         self.name = name
         self.dimension = elements[0].dimension
-        self.index = {m: i for i, m in enumerate(self.elements)}
         if not self.elements[0].is_identity():
             raise InternalConsistencyError("element 0 must be the identity")
         self._mult = None
@@ -127,12 +135,27 @@ class ReflectionGroup:
         label = self.name or "custom"
         return f"ReflectionGroup({label}, order={self.order}, dim={self.dimension})"
 
+    def word(self, b):
+        """Generator positions j1..jk with elements[b] = g_j1 ... g_jk."""
+        out = []
+        while b:
+            b, j = self.reached[b]
+            out.append(j)
+        return out[::-1]
+
     @property
     def mult_table(self):
+        """Index of elements[a] * elements[b], read as (a * elements[i]) * g_j
+        for reached[b] = (i, j), so each row fills left to right."""
         if self._mult is None:
-            self._mult = [
-                [self.index[a * b] for b in self.elements] for a in self.elements
-            ]
+            right = self.right
+            table = []
+            for a in range(self.order):
+                row = [a]
+                for i, j in self.reached[1:]:
+                    row.append(right[row[i]][j])
+                table.append(row)
+            self._mult = table
         return self._mult
 
     @property
@@ -170,14 +193,13 @@ def closure(generators, max_order=DEFAULT_MAX_ORDER, dimension=None, name=None):
     """Breadth-first closure of the generators into a full group.
 
     Element order is part of the contract: identity first, then products in
-    search order, so repeated runs enumerate identically.
+    search order, so repeated runs enumerate identically.  An empty generator
+    list gives the identity group of the given dimension.
     """
     generators = list(generators)
-    if not generators:
-        if dimension is None:
-            raise ValueError("empty generator list needs an explicit dimension")
-        return ReflectionGroup([RMatrix.identity(dimension)], [], name=name)
-    n = generators[0].dimension
+    n = generators[0].dimension if generators else dimension
+    if n is None:
+        raise ValueError("empty generator list needs an explicit dimension")
     if any(g.dimension != n for g in generators):
         raise ValueError("generators must share one dimension")
     for g in generators:
@@ -186,42 +208,54 @@ def closure(generators, max_order=DEFAULT_MAX_ORDER, dimension=None, name=None):
     ident = RMatrix.identity(n)
     elements = [ident]
     seen = {ident: 0}
-    frontier = 0
-    while frontier < len(elements):
-        current = elements[frontier]
-        frontier += 1
-        for g in generators:
+    right = []
+    reached = [None]
+    for i, current in enumerate(elements):
+        row = []
+        for j, g in enumerate(generators):
             prod = current * g
-            if prod not in seen:
-                seen[prod] = len(elements)
+            b = seen.get(prod)
+            if b is None:
+                b = seen[prod] = len(elements)
                 elements.append(prod)
+                reached.append((i, j))
                 if len(elements) > max_order:
                     raise GroupClosureError(
                         f"closure exceeded {max_order} elements; "
                         "group may be infinite"
                     )
-    gen_idx = [seen[g] for g in generators]
-    return ReflectionGroup(elements, gen_idx, name=name)
+            row.append(b)
+        right.append(row)
+    return ReflectionGroup(elements, right, reached, name=name)
 
 
 def is_pseudo_reflection_group(group: ReflectionGroup) -> bool:
     """True when the orthogonal group is generated by its pseudo-reflections.
 
     Raises NonOrthogonalError naming the first element with k^T k != I; the
-    trivial group passes vacuously.
+    trivial group passes vacuously.  Orthogonal matrices form a group, so
+    only the generators are checked; closure reaches them before any other
+    product, so the first non-orthogonal element is a generator.
     """
-    for i, m in enumerate(group.elements):
+    for i in sorted(set(group.generator_indices)):
+        m = group.elements[i]
         if not m.is_orthogonal():
             raise NonOrthogonalError(
                 f"element #{i} is not orthogonal: {m.text()}"
             )
-    refl = group.reflections()
-    if not refl:
-        return group.order == 1
-    regen = closure(refl, max_order=group.order, dimension=group.dimension)
-    return regen.order == group.order and set(regen.elements) == set(
-        group.elements
-    )
+    right = group.right
+    words = [group.word(b) for b, flag in enumerate(group.reflection_flags) if flag]
+    generated = {0}
+    frontier = [0]
+    for a in frontier:
+        for w in words:
+            b = a
+            for j in w:
+                b = right[b][j]
+            if b not in generated:
+                generated.add(b)
+                frontier.append(b)
+    return len(generated) == group.order
 
 
 # -- built-in families -------------------------------------------------------
@@ -284,7 +318,7 @@ def builtin(spec: str) -> ReflectionGroup:
         if n < 1:
             raise ParseError("symmetric:n requires n >= 1")
         if n == 1:
-            return ReflectionGroup([RMatrix.identity(1)], [], name=spec)
+            return closure([], dimension=1, name=spec)
         gens = []
         for i in range(n - 1):
             perm = list(range(n))
@@ -314,7 +348,7 @@ def builtin(spec: str) -> ReflectionGroup:
     if family == "trivial":
         if n < 1:
             raise ParseError("trivial:n requires n >= 1")
-        return ReflectionGroup([RMatrix.identity(n)], [], name=spec)
+        return closure([], dimension=n, name=spec)
     raise ParseError(f"unknown builtin family {family!r}")
 
 
@@ -327,6 +361,8 @@ def parse_group_json(obj, name=None, max_order=DEFAULT_MAX_ORDER):
     if not isinstance(obj, dict):
         raise ParseError("group file must contain a JSON object")
     if "builtin" in obj:
+        if not isinstance(obj["builtin"], str):
+            raise ParseError("builtin must be a string such as 'dihedral:3'")
         return builtin(obj["builtin"])
     for key in ("dimension", "generators"):
         if key not in obj:
@@ -334,14 +370,23 @@ def parse_group_json(obj, name=None, max_order=DEFAULT_MAX_ORDER):
     n = obj["dimension"]
     if not isinstance(n, int) or n < 1:
         raise ParseError("dimension must be a positive integer")
+    if not isinstance(obj["generators"], list):
+        raise ParseError("generators must be a list of matrices")
     gens = []
     for gi, gen in enumerate(obj["generators"]):
-        if len(gen) != n or any(len(row) != n for row in gen):
+        if not isinstance(gen, list) or len(gen) != n or any(
+            not isinstance(row, list) or len(row) != n for row in gen
+        ):
             raise ParseError(f"generator #{gi} is not {n}x{n}")
         rows = []
         for ri, row in enumerate(gen):
             out = []
             for ci, entry in enumerate(row):
+                if not isinstance(entry, str):
+                    raise ParseError(
+                        f"generator #{gi} entry ({ri},{ci}): expected a "
+                        f"string, got {type(entry).__name__}"
+                    )
                 try:
                     out.append(parse_scalar(entry))
                 except ParseError as exc:

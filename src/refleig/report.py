@@ -28,7 +28,6 @@ from .eigenspace import (
     evaluation_rank,
     intertwiner,
     invariant_eigenvalues,
-    is_generic,
     random_generic_weight,
     zero_weight,
 )
@@ -179,7 +178,7 @@ def _equivariance_battery(m: InducedModel, rng, trials) -> bool:
 
 def eigenspace_section(group, invariants, harmonics, w: Weight, config: PipelineConfig, rng) -> dict:
     m = InducedModel.build(w)
-    generic = is_generic(w)
+    generic = m.orbit.distinct_count == group.order
     rank = evaluation_rank(w, harmonics)
     basis = [
         tuple(1 if j == i else 0 for j in range(group.dimension))

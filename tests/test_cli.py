@@ -244,6 +244,23 @@ def test_group_file_scalar_error_is_usage(tmp_path, capsys):
     assert "generator" in err
 
 
+def test_malformed_group_file_is_usage(tmp_path, capsys):
+    # numbers in place of entry strings used to die with a TypeError
+    path = tmp_path / "numbers.json"
+    path.write_text(
+        json.dumps({"dimension": 2, "generators": [[[0, -1], [1, 0]]]})
+    )
+    code, out, err = run_cli(capsys, "info", "--group", str(path))
+    assert code == 2
+    assert not out
+    assert "generator #0 entry (0,0)" in err
+    for generators in (5, [5]):
+        path.write_text(json.dumps({"dimension": 2, "generators": generators}))
+        code, out, err = run_cli(capsys, "info", "--group", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+
+
 def test_singular_generator_is_usage(tmp_path, capsys):
     path = tmp_path / "singular.json"
     path.write_text(

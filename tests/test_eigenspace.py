@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refleig import linalg
-from refleig.cyclotomic import E, ONE, ZERO, cyc
+from refleig.cyclotomic import E, ONE, ZERO, cyc, prime_factors
 from refleig.errors import (
     InsufficientSamplesError,
     SampleSpanError,
@@ -24,7 +24,6 @@ from refleig.eigenspace import (
     InducedModel,
     PlaneWaveSum,
     Weight,
-    _is_prime,
     _rank_lower_bound,
     _root_of_unity_mod,
     _split_prime,
@@ -427,14 +426,14 @@ def test_primality_helper_matches_sympy():
 
     battery = [2, 3, 4, 25, 561, 1105, 1729, 65537, 2**20 + 7, 2**31 - 1]
     for n in battery:
-        assert _is_prime(n) == sympy.isprime(n)
+        assert (prime_factors(n) == (n,)) == sympy.isprime(n)
 
 
 def test_split_prime_properties():
     p = _split_prime(12, 1 << 20)
     assert p >= 1 << 20
     assert p % 12 == 1
-    assert _is_prime(p)
+    assert prime_factors(p) == (p,)
     z = _root_of_unity_mod(p, 12)
     assert pow(z, 12, p) == 1
     assert pow(z, 6, p) != 1

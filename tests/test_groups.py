@@ -80,6 +80,14 @@ def test_non_orthogonal_rejection():
     group = closure([m], name="skew-involution")
     with pytest.raises(NonOrthogonalError):
         is_pseudo_reflection_group(group)
+    # -I is orthogonal; the first non-orthogonal element is the second
+    # generator, element #2, as when every element was checked
+    skew = RMatrix([[cyc(1), cyc(1)], [cyc(0), cyc(-1)]])
+    group = closure([RMatrix([[cyc(-1), cyc(0)], [cyc(0), cyc(-1)]]), skew])
+    assert group.order == 4
+    with pytest.raises(NonOrthogonalError) as excinfo:
+        is_pseudo_reflection_group(group)
+    assert str(excinfo.value).startswith("element #2 is not orthogonal")
 
 
 def test_infinite_group_hits_bound():
@@ -94,15 +102,75 @@ def test_bad_builtin_specs():
             builtin(spec)
 
 
+def _flip(n, axes):
+    return RMatrix(
+        [
+            [cyc(-1 if i == j and i in axes else int(i == j)) for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
 def test_mult_and_inverse_tables():
-    group = builtin("dihedral:4")
-    table = group.mult_table
-    inv = group.inverse_table
-    for i in range(group.order):
-        assert table[i][inv[i]] == 0
-        assert table[inv[i]][i] == 0
-        for j in range(group.order):
-            assert group.elements[table[i][j]] == group.elements[i] * group.elements[j]
+    rot = builtin("dihedral:5").elements[1]
+    repeated = closure(
+        [rot, RMatrix.identity(2), rot, _flip(2, {0})], name="repeats"
+    )
+    assert repeated.order == 10
+    groups = [builtin(spec) for spec in BUILTIN_ORDERS]
+    groups += [builtin("cyclic:5"), builtin("symmetric:1"), repeated]
+    for group in groups:
+        elements = group.elements
+        generators = [elements[k] for k in group.generator_indices]
+        for i, row in enumerate(group.right):
+            for j, g in enumerate(generators):
+                assert elements[row[j]] == elements[i] * g
+        for b, element in enumerate(elements):
+            product = RMatrix.identity(group.dimension)
+            for j in group.word(b):
+                product = product * generators[j]
+            assert product == element
+        table = group.mult_table
+        inv = group.inverse_table
+        for i in range(group.order):
+            assert table[i][inv[i]] == 0
+            assert table[inv[i]][i] == 0
+            for j in range(group.order):
+                assert elements[table[i][j]] == elements[i] * elements[j]
+
+
+def test_reflection_subgroup_is_not_the_group():
+    # diag(-1, 1, 1) is the only reflection of this order-4 group, and it
+    # generates a subgroup of order 2
+    group = closure([_flip(3, {0}), _flip(3, {1, 2})], name="klein")
+    assert group.order == 4
+    assert sum(group.reflection_flags) == 1
+    assert not is_pseudo_reflection_group(group)
+
+
+def _regenerates(group):
+    """Reference: re-close the group from its reflections by matrix products."""
+    refl = group.reflections()
+    if not refl:
+        return group.order == 1
+    regen = closure(refl, max_order=group.order, dimension=group.dimension)
+    return regen.order == group.order and set(regen.elements) == set(
+        group.elements
+    )
+
+
+def test_reflection_group_test_matches_regeneration():
+    # large odd dihedral groups live in big cyclotomic fields, where the
+    # reference costs seconds each; 16 and 24 reach order 48 cheaply
+    specs = [f"dihedral:{n}" for n in (*range(3, 13), 16, 24)]
+    specs += [f"cyclic:{n}" for n in range(1, 9)]
+    specs += [f"symmetric:{n}" for n in range(1, 5)]
+    specs += [f"hyperoctahedral:{n}" for n in range(1, 4)]
+    specs += [f"trivial:{n}" for n in range(1, 4)]
+    for spec in specs:
+        group = builtin(spec)
+        assert group.order <= 48
+        assert is_pseudo_reflection_group(group) == _regenerates(group), spec
 
 
 def test_dihedral_rotation_entries_embed_correctly():
@@ -204,3 +272,22 @@ def test_load_group_file_bad_json(tmp_path):
     with pytest.raises(ParseError) as excinfo:
         load_group_file(str(path))
     assert "line" in str(excinfo.value)
+
+
+def test_load_group_file_malformed_shapes(tmp_path):
+    path = tmp_path / "shape.json"
+    cases = [
+        ([[[0, -1], [1, 0]]], "generator #0 entry (0,0): expected a string, got int"),
+        (5, "generators must be a list of matrices"),
+        ([5], "generator #0 is not 2x2"),
+        ([[["1", "0"], 7]], "generator #0 is not 2x2"),
+    ]
+    for generators, message in cases:
+        path.write_text(json.dumps({"dimension": 2, "generators": generators}))
+        with pytest.raises(ParseError) as excinfo:
+            load_group_file(str(path))
+        assert str(excinfo.value) == message
+    path.write_text(json.dumps({"builtin": 5}))
+    with pytest.raises(ParseError) as excinfo:
+        load_group_file(str(path))
+    assert str(excinfo.value) == "builtin must be a string such as 'dihedral:3'"
