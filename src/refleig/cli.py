@@ -112,9 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_group(args):
-    if args.builtin is not None:
-        return builtin(args.builtin)
-    return load_group_file(args.group)
+    # a ValueError here comes from the user's group spec or file, not a bug
+    try:
+        if args.builtin is not None:
+            return builtin(args.builtin)
+        return load_group_file(args.group)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _header(group) -> dict:
@@ -129,7 +133,10 @@ def _parse_weights(group, texts):
     weights = []
     for text in texts:
         parts = [p.strip() for p in text.split(",")]
-        weights.append(weight_from_strings(group, parts))
+        try:
+            weights.append(weight_from_strings(group, parts))
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
     return weights
 
 
@@ -189,7 +196,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = run(args)
-    except (ParseError, OrderLimitError, GroupClosureError, ValueError) as exc:
+    except (ParseError, OrderLimitError, GroupClosureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:

@@ -490,7 +490,7 @@ def _rank_lower_bound(rows, ncols: int) -> int:
 # -- evaluation matrix ------------------------------------------------------------
 
 
-def evaluation_matrix(w: Weight, harmonics: HarmonicSpace, base_point=None):
+def evaluation_matrix(m: InducedModel, harmonics: HarmonicSpace, base_point=None):
     """Matrix M[i][k] = H_i(mu_k), harmonics along rows, orbit along columns.
 
     With the default base point 0 the entries are exact cyclotomic scalars.
@@ -498,9 +498,8 @@ def evaluation_matrix(w: Weight, harmonics: HarmonicSpace, base_point=None):
     exp(<mu_k, x0>), so entries become FormalExp; either way the matrix is
     exact.
     """
-    orb = orbit(w)
     basis = harmonics.flat_basis()
-    cols = orb.points
+    cols = m.orbit.points
     plain = [[h.evaluate(mu) for mu in cols] for h in basis]
     if base_point is None or all(not cyc(x) for x in base_point):
         return plain
@@ -515,7 +514,7 @@ def evaluation_matrix(w: Weight, harmonics: HarmonicSpace, base_point=None):
     ]
 
 
-def evaluation_rank(w: Weight, harmonics: HarmonicSpace) -> int:
+def evaluation_rank(m: InducedModel, harmonics: HarmonicSpace) -> int:
     """Exact rank of the evaluation matrix at base point 0.
 
     Duplicate orbit columns are collapsed first (they are exactly equal).
@@ -524,7 +523,7 @@ def evaluation_rank(w: Weight, harmonics: HarmonicSpace) -> int:
     elimination over the cyclotomic field is skipped.  Otherwise exact
     elimination decides.
     """
-    orb = orbit(w)
+    orb = m.orbit
     basis = harmonics.flat_basis()
     reps = [cls[0] for cls in orb.classes]
     cols = [orb.points[r] for r in reps]

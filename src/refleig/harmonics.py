@@ -2,26 +2,36 @@
 
 Generators are found degree by degree: at each exponent degree the Reynolds
 image basis is scanned in graded-lex order for the first invariant outside
-the subalgebra generated so far, which makes the output deterministic.  The
-harmonics are the joint kernel of the generator differential operators; their
-graded dimensions must match the harmonic Hilbert series and their total the
-group order, both asserted.
+the subalgebra generated so far, which makes the output deterministic.  Their
+Jacobian determinant is kept with them.
+
+The harmonics come from Steinberg's theorem (R. Steinberg, Differential
+equations invariant under finite reflection groups, Trans. AMS 112, 1964):
+they are spanned by the partial derivatives of every order of the Jacobian
+determinant of the fundamental invariants.  The construction runs top-down
+from the Jacobian, whose degree must be sum(d_i - 1); each lower layer is the
+span of the first partials of the layer above.  No fallback is needed: a
+group reaching it has n algebraically independent invariants with
+prod d_i = |K|, so its invariant ring is polynomial, and by
+Chevalley-Shephard-Todd it is generated by pseudo-reflections.  Each layer's
+rank must equal the harmonic Hilbert coefficient, and the exact twin checks
+that every generator, read as a differential operator, kills every basis
+element; either failure raises InternalConsistencyError.
 """
 
 from dataclasses import dataclass
 
 from . import linalg
-from .cyclotomic import ONE, ZERO
+from .cyclotomic import ONE
 from .errors import GeneratorSearchError, InternalConsistencyError
 from .polynomials import (
     Poly,
     coeff_vector,
     diff_apply,
     invariant_subspace,
-    jacobian_independent,
+    jacobian,
     monomials_of_degree,
     poly_from_vector,
-    reynolds,
 )
 from .series import (
     DegreeVector,
@@ -34,10 +44,14 @@ from .series import (
 
 @dataclass(frozen=True)
 class FundamentalInvariants:
-    """Algebraically independent invariant generators, ascending degree."""
+    """Algebraically independent invariant generators, ascending degree.
+
+    `jacobian` is their Jacobian determinant, nonzero by construction.
+    """
 
     generators: tuple
     degrees: DegreeVector
+    jacobian: Poly
 
     def __iter__(self):
         return iter(self.generators)
@@ -124,60 +138,59 @@ def find_fundamental_invariants(group, series=None) -> FundamentalInvariants:
             )
         chosen.append(picked)
         chosen_degs.append(d)
-    if not jacobian_independent(chosen):
+    delta = jacobian(chosen)
+    if not delta:
         raise InternalConsistencyError(
             "chosen generators have vanishing Jacobian"
         )
-    return FundamentalInvariants(tuple(chosen), degrees)
+    return FundamentalInvariants(tuple(chosen), degrees, delta)
 
 
 def compute_harmonics(group, invariants: FundamentalInvariants) -> HarmonicSpace:
-    """Joint kernel of the invariant differential operators, degree by degree."""
+    """Harmonics as the span of the partial derivatives of the Jacobian.
+
+    The top layer is the normalized Jacobian; each lower layer is the span of
+    the first partials of the layer above, kept as reduced echelon rows.
+    """
     n = group.dimension
-    hh = harmonic_hilbert(invariants.degrees)
-    expected = [int(c) for c in hh.coeffs]
-    spaces = []
-    total = 0
-    for k, want in enumerate(expected):
-        monos = monomials_of_degree(n, k)
-        rows = []
-        for gen, d in zip(invariants.generators, invariants.degrees):
-            if d > k:
-                continue
-            target = monomials_of_degree(n, k - d)
-            target_index = {e: i for i, e in enumerate(target)}
-            # one constraint row per target monomial: rows of the map
-            # p -> diff_apply(gen, p) restricted to degree k
-            block = [[None] * len(monos) for _ in target]
-            for col, e in enumerate(monos):
-                img = diff_apply(gen, Poly.monomial(n, e))
-                for te, c in img.terms.items():
-                    block[target_index[te]][col] = c
-            for row in block:
-                rows.append([ZERO if x is None else x for x in row])
-        if rows:
-            kernel = linalg.nullspace(rows, len(monos), ONE)
-        else:
-            kernel = [
-                [ONE if i == j else ZERO for j in range(len(monos))]
-                for i in range(len(monos))
-            ]
-        if len(kernel) != want:
-            raise InternalConsistencyError(
-                f"harmonic dimension {len(kernel)} at degree {k}, "
-                f"expected {want}"
-            )
-        basis = []
-        for vec in kernel:
-            p = poly_from_vector(n, monos, vec)
-            basis.append(_normalize_leading(p))
-        spaces.append((k, tuple(basis)))
-        total += len(basis)
-    if total != group.order:
+    expected = [int(c) for c in harmonic_hilbert(invariants.degrees).coeffs]
+    if sum(expected) != group.order:
         raise InternalConsistencyError(
-            f"harmonic total {total} != group order {group.order}"
+            f"harmonic total {sum(expected)} != group order {group.order}"
         )
-    return HarmonicSpace(tuple(spaces), total)
+    top = len(expected) - 1
+    delta = invariants.jacobian
+    if delta.degree() != top:
+        raise InternalConsistencyError(
+            f"Jacobian has degree {delta.degree()}, expected {top}"
+        )
+    spaces = []
+    layer = [delta]
+    for k in range(top, -1, -1):
+        monos = monomials_of_degree(n, k)
+        span = linalg.RowSpan(len(monos))
+        for p in layer:
+            span.add(coeff_vector(p, monos))
+        if span.rank != expected[k]:
+            raise InternalConsistencyError(
+                f"harmonic dimension {span.rank} at degree {k}, "
+                f"expected {expected[k]}"
+            )
+        # reduced echelon rows sorted by pivot: a basis canonical for the
+        # monomial order, with leading coefficient 1
+        basis = tuple(poly_from_vector(n, monos, row) for row in span.rows)
+        spaces.append((k, basis))
+        layer = [h.partial(i) for h in basis for i in range(n)]
+    spaces.reverse()
+    for k, basis in spaces:
+        for gen in invariants.generators:
+            for h in basis:
+                if diff_apply(gen, h):
+                    raise InternalConsistencyError(
+                        f"a degree-{k} harmonic is not killed by the "
+                        f"degree-{gen.degree()} invariant operator"
+                    )
+    return HarmonicSpace(tuple(spaces), group.order)
 
 
 @dataclass(frozen=True)
@@ -229,68 +242,3 @@ def verify_product_decomposition(
                 f"products span rank {span.rank} < dim S^{k} = {dim_sk}",
             )
     return DecompositionReport(True)
-
-
-def noether_invariant_candidates(group, max_degree=None):
-    """Exhaustive Reynolds images of all monomials up to the group order.
-
-    The classical degree bound: invariants of a finite group are generated
-    in degree <= |K|.  This is exponentially wasteful next to the default
-    degree-by-degree search and exists as an optional cross-check mode.
-    """
-    if max_degree is None:
-        max_degree = group.order
-    n = group.dimension
-    out = []
-    for k in range(max_degree + 1):
-        for e in monomials_of_degree(n, k):
-            img = reynolds(group, Poly.monomial(n, e))
-            if img:
-                out.append(img)
-    return out
-
-
-def graded_subalgebra_dims(generators, up_to: int):
-    """Dimensions of the graded pieces of the algebra the generators span.
-
-    Works for any homogeneous generating set (no independence assumed): at
-    each degree the span of all products of generators is ranked exactly.
-    """
-    if not generators:
-        return {k: (1 if k == 0 else 0) for k in range(up_to + 1)}
-    n = generators[0].nvars
-    degs = [g.degree() for g in generators]
-    dims = {}
-    spans = {}
-    for k in range(up_to + 1):
-        monos = monomials_of_degree(n, k)
-        span = linalg.RowSpan(len(monos))
-        for prod in _generator_products(generators, degs, k, n):
-            span.add(coeff_vector(prod, monos))
-        dims[k] = span.rank
-        spans[k] = span
-    return dims, spans
-
-
-def generate_same_subalgebra(gens_a, gens_b, up_to: int) -> bool:
-    """Exact equality of graded subalgebras up to a degree bound.
-
-    Checks identical graded dimensions plus membership of each generator of
-    one family in the span of the other at its own degree.
-    """
-    dims_a, spans_a = graded_subalgebra_dims(gens_a, up_to)
-    dims_b, spans_b = graded_subalgebra_dims(gens_b, up_to)
-    if dims_a != dims_b:
-        return False
-    n = gens_a[0].nvars
-
-    def members(gens, spans):
-        for gen in gens:
-            k = gen.degree()
-            if k <= up_to:
-                monos = monomials_of_degree(n, k)
-                if not spans[k].contains(coeff_vector(gen, monos)):
-                    return False
-        return True
-
-    return members(gens_a, spans_b) and members(gens_b, spans_a)

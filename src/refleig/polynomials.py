@@ -294,14 +294,17 @@ def invariant_subspace(group, degree: int):
     return [poly_from_vector(n, monos, row) for row in span.rows]
 
 
-def jacobian_independent(polys) -> bool:
-    """Exact test that the Jacobian determinant is not the zero polynomial."""
+def jacobian(polys) -> Poly:
+    """The Jacobian determinant det(d p_i / d x_j) of n polynomials in n variables."""
     n = polys[0].nvars
     if len(polys) != n:
         raise ValueError("need exactly as many polynomials as variables")
-    jac = [[p.partial(j) for j in range(n)] for p in polys]
-    det = _poly_det(jac)
-    return bool(det)
+    return _poly_det([[p.partial(j) for j in range(n)] for p in polys])
+
+
+def jacobian_independent(polys) -> bool:
+    """Exact test that the Jacobian determinant is not the zero polynomial."""
+    return bool(jacobian(polys))
 
 
 def _poly_det(rows):

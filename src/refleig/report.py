@@ -179,7 +179,7 @@ def _equivariance_battery(m: InducedModel, rng, trials) -> bool:
 def eigenspace_section(group, invariants, harmonics, w: Weight, config: PipelineConfig, rng) -> dict:
     m = InducedModel.build(w)
     generic = m.orbit.distinct_count == group.order
-    rank = evaluation_rank(w, harmonics)
+    rank = evaluation_rank(m, harmonics)
     basis = [
         tuple(1 if j == i else 0 for j in range(group.dimension))
         for i in range(group.dimension)

@@ -176,14 +176,12 @@ def test_criterion_4_rank_and_commutant_certificates(pipeline):
         samples = standard_translations(group)
         with timed(30.0):
             for _ in range(20):
-                w = random_generic_weight(group, rng)
-                assert evaluation_rank(w, harmonics) == group.order
-                m = InducedModel.build(w)
+                m = InducedModel.build(random_generic_weight(group, rng))
+                assert evaluation_rank(m, harmonics) == group.order
                 assert commutant_dimension(m, samples) == 1
             for _ in range(5):
-                w = degenerate_weight(group, rng)
-                assert evaluation_rank(w, harmonics) < group.order
-                m = InducedModel.build(w)
+                m = InducedModel.build(degenerate_weight(group, rng))
+                assert evaluation_rank(m, harmonics) < group.order
                 assert commutant_dimension(m, samples) > 1
             m = InducedModel.build(zero_weight(group))
             assert commutant_dimension(m, samples) == group.order
@@ -213,7 +211,10 @@ def test_criterion_5_equivariance_and_injectivity(pipeline):
                     ]
                     assert equivariance_check(m, g, v)
             # full evaluation rank makes the intertwiner injective
-            assert evaluation_rank(generic, harmonics) == group.order
+            assert (
+                evaluation_rank(InducedModel.build(generic), harmonics)
+                == group.order
+            )
     print("criterion 5 (equivariance and injectivity): PASS")
 
 

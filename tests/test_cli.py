@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from refleig import __version__
+from refleig import __version__, report
 from refleig.cli import main
 from refleig.report import MIN_PRECISION, NON_GENERIC_STATUS, PipelineConfig
 
@@ -78,6 +78,16 @@ def test_harmonics_section(capsys):
     assert rep["harmonics"]["total_dimension"] == 12
 
 
+def test_harmonics_symmetric5_profile(capsys):
+    # |K| = 120: the degree profile of prod (1 + ... + t^(d-1)), d = 1..5
+    code, rep, _ = run_json(capsys, "harmonics", "--builtin", "symmetric:5")
+    assert code == 0
+    assert [dim for _, dim in rep["harmonics"]["degree_dims"]] == [
+        1, 4, 9, 15, 20, 22, 20, 15, 9, 4, 1,
+    ]
+    assert rep["harmonics"]["total_dimension"] == 120
+
+
 def test_eigenspace_pinned_weight(capsys):
     code, rep, _ = run_json(
         capsys,
@@ -102,6 +112,33 @@ def test_eigenspace_requires_weight(capsys):
     assert code == 2
     assert not out
     assert "weight" in err
+
+
+@pytest.mark.parametrize(
+    "weight, message",
+    [
+        ("1, 2", "weight entries must be purely imaginary"),
+        ("i*1", "weight length must match the group dimension"),
+    ],
+)
+def test_bad_weight_is_a_usage_error(capsys, weight, message):
+    code, out, err = run_cli(
+        capsys, "eigenspace", "--builtin", "dihedral:3", "--weight", weight
+    )
+    assert code == 2
+    assert not out
+    assert err.startswith("error: ") and message in err
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    # only input parsing maps ValueError to exit 2; a bug must not pass as
+    # a usage error
+    def broken(*_args):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(report, "compute_harmonics", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["verify-all", "--builtin", "dihedral:3"])
 
 
 def test_verify_all_certifies_generic_weight(capsys):

@@ -376,12 +376,12 @@ def test_dual_cyclic_rejects_small_or_redundant_samples():
 
 def test_evaluation_matrix_is_exact_at_origin(pipeline):
     group, _, harmonics = pipeline("dihedral:3")
-    w = imag_weight(group, (1, 2))
-    mat = evaluation_matrix(w, harmonics)
+    m = InducedModel.build(imag_weight(group, (1, 2)))
+    mat = evaluation_matrix(m, harmonics)
     basis = harmonics.flat_basis()
     assert len(mat) == len(basis) == group.order
     assert all(len(row) == group.order for row in mat)
-    orb = orbit(w)
+    orb = orbit(m.weight)
     for i, h in enumerate(basis):
         for k in range(group.order):
             assert mat[i][k] == h.evaluate(orb.points[k])
@@ -389,17 +389,17 @@ def test_evaluation_matrix_is_exact_at_origin(pipeline):
 
 def test_evaluation_matrix_base_point_units(pipeline):
     group, _, harmonics = pipeline("dihedral:3")
-    w = imag_weight(group, (1, 2))
-    plain = evaluation_matrix(w, harmonics)
-    shifted = evaluation_matrix(w, harmonics, base_point=(1, -2))
-    orb = orbit(w)
+    m = InducedModel.build(imag_weight(group, (1, 2)))
+    plain = evaluation_matrix(m, harmonics)
+    shifted = evaluation_matrix(m, harmonics, base_point=(1, -2))
+    orb = orbit(m.weight)
     x0 = (cyc(1), cyc(-2))
     for i in range(len(plain)):
         for k in range(group.order):
             unit = FormalExp.exp(linalg.dot(orb.points[k], x0))
             assert shifted[i][k] == unit * FormalExp.constant(plain[i][k])
     with pytest.raises(ValueError):
-        evaluation_matrix(w, harmonics, base_point=(I, ZERO))
+        evaluation_matrix(m, harmonics, base_point=(I, ZERO))
 
 
 def test_evaluation_rank_counts_distinct_orbit_points(pipeline):
@@ -415,7 +415,8 @@ def test_evaluation_rank_counts_distinct_orbit_points(pipeline):
             zero_weight(group),
         ]
         for w in weights:
-            assert evaluation_rank(w, harmonics) == orbit(w).distinct_count
+            m = InducedModel.build(w)
+            assert evaluation_rank(m, harmonics) == orbit(w).distinct_count
 
 
 # -- modular rank certificate -------------------------------------------------------
@@ -551,7 +552,7 @@ def test_certification_quantities_move_together(pipeline):
             flags = (
                 is_generic(w),
                 orbit(w).distinct_count == group.order,
-                evaluation_rank(w, harmonics) == group.order,
+                evaluation_rank(m, harmonics) == group.order,
                 commutant_dimension(m, samples) == 1,
             )
             assert len(set(flags)) == 1

@@ -2,24 +2,141 @@
 
 Reference generators for the dihedral series: the squared radius and the
 real part of (x1 + i x2)^n, whose expansions are frozen below and also
-rebuilt independently from binomial coefficients.
+rebuilt independently from binomial coefficients.  The harmonics are checked
+against the reference route below, the joint kernel of the invariant
+differential operators solved degree by degree, which shares no code with
+the construction from the Jacobian.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from refleig.cyclotomic import cyc
-from refleig.groups import builtin
+from conftest import REFLECTION_BATTERY
+from refleig import linalg
+from refleig.cyclotomic import ONE, ZERO, cyc
+from refleig.errors import InternalConsistencyError
+from refleig.groups import builtin, is_pseudo_reflection
 from refleig.harmonics import (
+    HarmonicSpace,
+    _generator_products,
     compute_harmonics,
     find_fundamental_invariants,
-    generate_same_subalgebra,
-    noether_invariant_candidates,
     verify_product_decomposition,
 )
 from refleig.parsing import parse_poly
-from refleig.polynomials import Poly, act, diff_apply, invariant_subspace
+from refleig.polynomials import (
+    Poly,
+    act,
+    coeff_vector,
+    diff_apply,
+    invariant_subspace,
+    jacobian,
+    monomials_of_degree,
+    reynolds,
+)
+
+
+# -- reference implementations ------------------------------------------------
+
+
+def kernel_harmonics(group, invariants):
+    """Joint kernel of the invariant operators: {degree: kernel vectors}.
+
+    One constraint row per target monomial of each map p -> gen(d/dx) p
+    restricted to degree k; vectors are over monomials_of_degree(n, k).
+    """
+    n = group.dimension
+    top = sum(d - 1 for d in invariants.degrees.degrees)
+    out = {}
+    for k in range(top + 1):
+        monos = monomials_of_degree(n, k)
+        rows = []
+        for gen, d in zip(invariants.generators, invariants.degrees.degrees):
+            if d > k:
+                continue
+            target = monomials_of_degree(n, k - d)
+            target_index = {e: i for i, e in enumerate(target)}
+            block = [[ZERO] * len(monos) for _ in target]
+            for col, e in enumerate(monos):
+                img = diff_apply(gen, Poly.monomial(n, e))
+                for te, c in img.terms.items():
+                    block[target_index[te]][col] = c
+            rows.extend(block)
+        if rows:
+            out[k] = linalg.nullspace(rows, len(monos), ONE)
+        else:
+            out[k] = [
+                [ONE if i == j else ZERO for j in range(len(monos))]
+                for i in range(len(monos))
+            ]
+    return out
+
+
+def noether_invariant_candidates(group, max_degree=None):
+    """Exhaustive Reynolds images of all monomials up to the group order.
+
+    The classical degree bound: invariants of a finite group are generated
+    in degree <= |K|.
+    """
+    if max_degree is None:
+        max_degree = group.order
+    n = group.dimension
+    out = []
+    for k in range(max_degree + 1):
+        for e in monomials_of_degree(n, k):
+            img = reynolds(group, Poly.monomial(n, e))
+            if img:
+                out.append(img)
+    return out
+
+
+def graded_subalgebra_dims(generators, up_to: int):
+    """Graded dimensions of the algebra the generators span, and the spans.
+
+    Works for any homogeneous generating set (no independence assumed): at
+    each degree the span of all products of generators is ranked exactly.
+    """
+    n = generators[0].nvars
+    degs = [g.degree() for g in generators]
+    dims = {}
+    spans = {}
+    for k in range(up_to + 1):
+        monos = monomials_of_degree(n, k)
+        span = linalg.RowSpan(len(monos))
+        for prod in _generator_products(generators, degs, k, n):
+            span.add(coeff_vector(prod, monos))
+        dims[k] = span.rank
+        spans[k] = span
+    return dims, spans
+
+
+def generate_same_subalgebra(gens_a, gens_b, up_to: int) -> bool:
+    """Exact equality of graded subalgebras up to a degree bound.
+
+    Checks identical graded dimensions plus membership of each generator of
+    one family in the span of the other at its own degree.
+    """
+    dims_a, spans_a = graded_subalgebra_dims(gens_a, up_to)
+    dims_b, spans_b = graded_subalgebra_dims(gens_b, up_to)
+    if dims_a != dims_b:
+        return False
+    n = gens_a[0].nvars
+
+    def members(gens, spans):
+        for gen in gens:
+            k = gen.degree()
+            if k <= up_to:
+                monos = monomials_of_degree(n, k)
+                if not spans[k].contains(coeff_vector(gen, monos)):
+                    return False
+        return True
+
+    return members(gens_a, spans_b) and members(gens_b, spans_a)
+
+
+# -- fundamental invariants ---------------------------------------------------
 
 
 def radial_and_angular(n):
@@ -123,8 +240,6 @@ def test_product_decomposition_holds_and_detects_corruption():
     report = verify_product_decomposition(group, invariants, harmonics, 8)
     assert report
 
-    from refleig.harmonics import HarmonicSpace
-
     damaged_layers = []
     for degree, basis in harmonics.basis_by_degree:
         if degree == 2:
@@ -141,12 +256,72 @@ def test_product_decomposition_holds_and_detects_corruption():
 def test_noether_candidates_span_the_invariant_subspaces():
     group = builtin("dihedral:3")
     candidates = noether_invariant_candidates(group)
-    from refleig import linalg
-    from refleig.polynomials import coeff_vector, monomials_of_degree
-
     for degree in range(group.order + 1):
         layer = [p for p in candidates if p.degree() == degree]
         monomials = monomials_of_degree(group.dimension, degree)
         rows = [coeff_vector(p, monomials) for p in layer]
         rank = linalg.rank(rows, len(monomials)) if rows else 0
         assert rank == len(invariant_subspace(group, degree))
+
+
+# -- harmonics from the Jacobian ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec", REFLECTION_BATTERY + ("trivial:2", "symmetric:1")
+)
+def test_jacobian_layers_span_the_kernel_reference(pipeline, spec):
+    group, invariants, harmonics = pipeline(spec)
+    reference = kernel_harmonics(group, invariants)
+    assert sorted(reference) == [k for k, _ in harmonics.basis_by_degree]
+    for k, basis in harmonics.basis_by_degree:
+        monos = monomials_of_degree(group.dimension, k)
+        span = linalg.RowSpan(len(monos))
+        for vec in reference[k]:
+            span.add(vec)
+        assert span.rank == len(basis)
+        for h in basis:
+            assert span.contains(coeff_vector(h, monos))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        # one degree too high: the top layer must sit at sum(d_i - 1)
+        (lambda delta: delta * Poly.variable(2, 0), "Jacobian has degree"),
+        # right degree, but its partials span too little
+        (lambda delta: parse_poly("x1^3", 2), "harmonic dimension"),
+        # right degree and ranks, but not harmonic: the exact twin fires
+        (lambda delta: parse_poly("x1^3 + x2^3", 2), "not killed"),
+    ],
+    ids=["delta-times-x1", "x1-cubed", "sum-of-cubes"],
+)
+def test_corrupted_jacobian_raises(pipeline, corrupt, message):
+    group, invariants, _ = pipeline("dihedral:3")
+    damaged = replace(invariants, jacobian=corrupt(invariants.jacobian))
+    with pytest.raises(InternalConsistencyError, match=message):
+        compute_harmonics(group, damaged)
+
+
+def test_dihedral3_jacobian_is_the_product_of_reflecting_lines():
+    group = builtin("dihedral:3")
+    invariants = find_fundamental_invariants(group)
+    delta = jacobian(list(invariants.generators))
+    assert invariants.jacobian == delta
+    lines = Poly.constant(2, ONE)
+    count = 0
+    for k in group.elements:
+        if not is_pseudo_reflection(k):
+            continue
+        # I - k has rank one, so a nonzero column is normal to the mirror
+        columns = [
+            [(ONE if i == j else ZERO) - k.rows[i][j] for i in range(2)]
+            for j in range(2)
+        ]
+        normal = next(c for c in columns if any(c))
+        lines = lines * Poly(2, {(1, 0): normal[0], (0, 1): normal[1]})
+        count += 1
+    assert count == 3
+    lead = lines.leading_monomial()
+    scale = delta.terms[lead] * lines.terms[lead].inverse()
+    assert scale and delta == lines * scale
