@@ -21,6 +21,8 @@ Q(zeta_{m/p}) is closed form, with no linear solve:
 
 Rational coefficients are `fractions.Fraction` throughout; nothing here is
 floating point except the explicit high-precision embedding at the bottom.
+`Reduction`, last in the module, maps values into a prime field F_p; it is
+the one modular reduction behind every rank certified mod p.
 """
 
 from __future__ import annotations
@@ -462,3 +464,92 @@ def embed_complex(a: Cyclotomic, precision: int = 53):
     """
     z = a.embed(precision)
     return (z.real, z.imag)
+
+
+# -- reduction modulo a split prime ----------------------------------------------
+
+_SPLIT_PRIME_MINIMUM = 1 << 20
+
+
+def _split_prime(m: int, avoid: int) -> int:
+    """Smallest prime p >= 2^20 with p = 1 mod m and p not dividing `avoid`.
+
+    p = 1 mod m is exactly the condition for F_p to contain a primitive m-th
+    root of unity.
+    """
+    k = max(1, (_SPLIT_PRIME_MINIMUM - 2) // m + 1)
+    while True:
+        p = m * k + 1
+        if avoid % p and prime_factors(p) == (p,):
+            return p
+        k += 1
+
+
+def _root_of_unity_mod(p: int, m: int) -> int:
+    """A primitive m-th root of unity in F_p, for a prime p = 1 mod m."""
+    factors = prime_factors(p - 1)
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
+        g += 1
+    return pow(g, (p - 1) // m, p)
+
+
+class Reduction:
+    """The ring map Z[zeta_m][1/S] -> F_p fixed by one batch of values.
+
+    m is the lcm of the conductors of the batch and S the primes dividing
+    its denominators; p is the smallest prime >= 2^20 with p = 1 mod m
+    outside S, and zeta_m goes to a fixed primitive m-th root of unity in
+    F_p.  Every value built from the batch by +, - and * lies in the domain,
+    so reducing first and computing in F_p gives the reduction of the exact
+    result.  A matrix over the domain has reduced rank at most its exact
+    rank, since a minor that is nonzero mod p is nonzero.
+    """
+
+    __slots__ = ("order", "p", "zeta", "_powers")
+
+    def __init__(self, values):
+        m = 1
+        den = 1
+        for x in values:
+            m = math.lcm(m, x.order)
+            for c in x.coeffs.values():
+                den = math.lcm(den, c.denominator)
+        p = _split_prime(m, den)
+        zeta = _root_of_unity_mod(p, m)
+        powers = [1]
+        for _ in range(m - 1):
+            powers.append(powers[-1] * zeta % p)
+        self.order = m
+        self.p = p
+        self.zeta = zeta
+        self._powers = powers
+
+    def scalar(self, x: Cyclotomic) -> int:
+        """The image of x in F_p, as an integer in [0, p)."""
+        if self.order % x.order:
+            raise InternalConsistencyError(
+                f"conductor {x.order} does not divide the reduction order "
+                f"{self.order}"
+            )
+        p = self.p
+        step = self.order // x.order
+        acc = 0
+        for e, c in x.coeffs.items():
+            den = c.denominator
+            if den % p == 0:
+                raise InternalConsistencyError(
+                    f"denominator {den} is not invertible mod {p}"
+                )
+            term = c.numerator * self._powers[e * step]
+            acc += term if den == 1 else term * pow(den, -1, p)
+        return acc % p
+
+    def poly(self, f) -> dict:
+        """A polynomial's terms reduced coefficientwise, zeros dropped."""
+        out = {}
+        for e, c in f.terms.items():
+            r = self.scalar(c)
+            if r:
+                out[e] = r
+        return out

@@ -14,9 +14,14 @@ as the functional one.
 
 Irreducibility certification is the pair of computations from the rank
 criterion: the evaluation matrix H_i(mu_k) must have full rank |K|, and the
-commutant of the sampled representation must be one-dimensional.  The
-commutant is computed twice, numerically at high precision and exactly from
-the orbit block structure, and both must agree.
+commutant of the sampled representation must be one-dimensional.  The rank
+is taken in F_p: the orbit points and the harmonic coefficients are reduced
+mod a split prime first (`cyclotomic.Reduction`), then evaluated and
+eliminated there.  Reduction is a ring homomorphism, so a full rank mod p is
+a full exact rank; a lower one falls back to exact evaluation and
+elimination over the cyclotomic field.  The commutant is computed twice,
+numerically at high precision and exactly from the orbit block structure,
+and both must agree.
 """
 
 from dataclasses import dataclass
@@ -25,7 +30,7 @@ from fractions import Fraction
 import mpmath
 
 from . import linalg
-from .cyclotomic import Cyclotomic, ONE, ZERO, cyc, prime_factors
+from .cyclotomic import Cyclotomic, ONE, Reduction, ZERO, cyc
 from .errors import (
     InsufficientSamplesError,
     InternalConsistencyError,
@@ -415,78 +420,6 @@ def dual_cyclic_check(m: InducedModel, samples, precision: int = 128) -> bool:
         return _numeric_rank(rows, precision) == m.dimension
 
 
-# -- modular rank certificate ------------------------------------------------------
-
-def _split_prime(m: int, minimum: int) -> int:
-    """Smallest prime p >= minimum with p = 1 mod m, so F_p contains zeta_m."""
-    k = max(1, (minimum - 2) // m + 1)
-    while True:
-        p = m * k + 1
-        if p >= minimum and prime_factors(p) == (p,):
-            return p
-        k += 1
-
-
-def _root_of_unity_mod(p: int, m: int) -> int:
-    factors = prime_factors(p - 1)
-    g = 2
-    while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
-        g += 1
-    return pow(g, (p - 1) // m, p)
-
-
-def _rank_mod(rows, ncols: int, p: int) -> int:
-    mat = [row[:] for row in rows]
-    rank = 0
-    for col in range(ncols):
-        pivot = next(
-            (r for r in range(rank, len(mat)) if mat[r][col] % p), None
-        )
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        for r in range(rank + 1, len(mat)):
-            factor = mat[r][col] * inv % p
-            if factor:
-                mat[r] = [
-                    (a - factor * b) % p for a, b in zip(mat[r], mat[rank])
-                ]
-        rank += 1
-    return rank
-
-
-def _rank_lower_bound(rows, ncols: int) -> int:
-    """Rank of the reduction mod a split prime: never exceeds the true rank."""
-    import math
-
-    m = 1
-    for row in rows:
-        for x in row:
-            m = math.lcm(m, x.order)
-    minimum = 1 << 20
-    for _ in range(4):
-        p = _split_prime(m, minimum)
-        zeta = _root_of_unity_mod(p, m)
-        try:
-            reduced = []
-            for row in rows:
-                out = []
-                for x in row:
-                    acc = 0
-                    step = pow(zeta, m // x.order, p)
-                    for e, c in x.coeffs.items():
-                        num = c.numerator % p
-                        den = pow(c.denominator % p, -1, p)
-                        acc = (acc + num * den * pow(step, e, p)) % p
-                    out.append(acc)
-                reduced.append(out)
-            return _rank_mod(reduced, ncols, p)
-        except ValueError:
-            minimum = p + 1
-    raise InternalConsistencyError("no usable split prime found")
-
-
 # -- evaluation matrix ------------------------------------------------------------
 
 
@@ -514,24 +447,51 @@ def evaluation_matrix(m: InducedModel, harmonics: HarmonicSpace, base_point=None
     ]
 
 
+def _evaluate_mod(terms, powers, p):
+    """Value mod p of reduced polynomial terms; powers[i][k] = x_i^k mod p."""
+    acc = 0
+    for e, c in terms.items():
+        for i, k in enumerate(e):
+            if k:
+                c *= powers[i][k]
+        acc += c
+    return acc % p
+
+
 def evaluation_rank(m: InducedModel, harmonics: HarmonicSpace) -> int:
     """Exact rank of the evaluation matrix at base point 0.
 
     Duplicate orbit columns are collapsed first (they are exactly equal).
-    A reduction mod a split prime bounds the rank from below; when that
-    bound hits min(rows, cols) the rank is settled exactly and the expensive
-    elimination over the cyclotomic field is skipped.  Otherwise exact
-    elimination decides.
+    The orbit points and the harmonic coefficients are reduced mod a split
+    prime before anything is evaluated, and the matrix is built and
+    eliminated in F_p.  Reduction is a ring homomorphism, so this is the
+    reduction of the exact matrix and its rank bounds the exact rank from
+    below; when it reaches min(rows, cols) the rank is settled exactly.
+    Otherwise the exact matrix is built and eliminated over the cyclotomic
+    field.
     """
     orb = m.orbit
     basis = harmonics.flat_basis()
-    reps = [cls[0] for cls in orb.classes]
-    cols = [orb.points[r] for r in reps]
-    rows = [[h.evaluate(mu) for mu in cols] for h in basis]
-    if rows and cols:
-        lower = _rank_lower_bound(rows, len(cols))
+    cols = [orb.points[cls[0]] for cls in orb.classes]
+    if basis and cols:
+        red = Reduction(
+            [x for mu in cols for x in mu]
+            + [c for h in basis for c in h.terms.values()]
+        )
+        p = red.p
+        top = max(h.degree() for h in basis)
+        powers = [
+            [[pow(red.scalar(x), k, p) for k in range(top + 1)] for x in mu]
+            for mu in cols
+        ]
+        rows = [
+            [_evaluate_mod(terms, pw, p) for pw in powers]
+            for terms in (red.poly(h) for h in basis)
+        ]
+        lower = linalg.rank_mod(rows, len(cols), p)
         if lower == min(len(rows), len(cols)):
             return lower
+    rows = [[h.evaluate(mu) for mu in cols] for h in basis]
     return linalg.rank(rows, len(cols))
 
 

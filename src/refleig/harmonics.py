@@ -22,7 +22,7 @@ element; either failure raises InternalConsistencyError.
 from dataclasses import dataclass
 
 from . import linalg
-from .cyclotomic import ONE
+from .cyclotomic import ONE, Reduction
 from .errors import GeneratorSearchError, InternalConsistencyError
 from .polynomials import (
     Poly,
@@ -205,36 +205,77 @@ class DecompositionReport:
         return self.ok
 
 
+def _mul_mod(a, b, p):
+    """Product of two polynomials given as reduced terms mod p."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = (out.get(e, 0) + ca * cb) % p
+    return out
+
+
 def verify_product_decomposition(
     group, invariants: FundamentalInvariants, harmonics: HarmonicSpace, max_degree: int
 ) -> DecompositionReport:
     """Check S^k = (invariants of degree k-l) x (harmonics of degree l).
 
     Verifies both the dimension count and the actual span, degree by degree
-    up to max_degree.
+    up to max_degree.  The span is first ranked mod a split prime: the
+    generators and harmonics are reduced (`cyclotomic.Reduction`) and the
+    products formed in F_p.  The products lie in S^k, so a rank of dim S^k
+    mod p certifies the span exactly; a lower rank falls back to exact
+    elimination of the exact products, which decides.
     """
     n = group.dimension
     degs = list(invariants.degrees)
     harm = dict(harmonics.basis_by_degree)
+    red = Reduction(
+        [c for f in invariants.generators for c in f.terms.values()]
+        + [c for h in harmonics.flat_basis() for c in h.terms.values()]
+    )
+    p = red.p
+    gens_mod = [red.poly(g) for g in invariants.generators]
+    harm_mod = {l: [red.poly(h) for h in basis] for l, basis in harm.items()}
+    power_products = {(0,) * len(degs): {(0,) * n: 1}}
+
+    def power_product(exps):
+        # prod g_i^e_i mod p, one multiplication per new exponent vector
+        got = power_products.get(exps)
+        if got is None:
+            i = next(i for i, e in enumerate(exps) if e)
+            lower = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+            got = _mul_mod(power_product(lower), gens_mod[i], p)
+            power_products[exps] = got
+        return got
+
     for k in range(max_degree + 1):
         monos = monomials_of_degree(n, k)
         dim_sk = len(monos)
-        count = 0
-        span = linalg.RowSpan(len(monos))
-        for l in sorted(harm):
-            if l > k:
-                continue
-            factors = _generator_products(invariants.generators, degs, k - l, n)
-            count += len(factors) * len(harm[l])
-            for factor in factors:
-                for h in harm[l]:
-                    span.add(coeff_vector(factor * h, monos))
+        layers = [
+            (l, _exponent_solutions(degs, k - l)) for l in sorted(harm) if l <= k
+        ]
+        count = sum(len(sols) * len(harm[l]) for l, sols in layers)
         if count != dim_sk:
             return DecompositionReport(
                 False,
                 k,
                 f"dimension count {count} != dim S^{k} = {dim_sk}",
             )
+        rows = []
+        for l, sols in layers:
+            for exps in sols:
+                factor = power_product(exps)
+                for h in harm_mod[l]:
+                    prod = _mul_mod(factor, h, p)
+                    rows.append([prod.get(e, 0) for e in monos])
+        if linalg.rank_mod(rows, dim_sk, p) == dim_sk:
+            continue
+        span = linalg.RowSpan(dim_sk)
+        for l, _ in layers:
+            for factor in _generator_products(invariants.generators, degs, k - l, n):
+                for h in harm[l]:
+                    span.add(coeff_vector(factor * h, monos))
         if span.rank != dim_sk:
             return DecompositionReport(
                 False,

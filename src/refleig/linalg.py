@@ -5,6 +5,8 @@ Every routine works for scalars supporting +, -, *, /, == and truth-testing
 are lists of row lists.  Sizes here are desk scale, so plain Gaussian
 elimination with first-nonzero pivoting is used throughout; pivot choice is
 deterministic, which several callers rely on for reproducible bases.
+`rank_mod` is the one routine over F_p instead: it takes integer matrices
+reduced by `cyclotomic.Reduction`.
 
 Every exact sum in the package goes through one of two accumulators:
 `add_term` for sparse sums keyed by exponent, and `dot` for dense sums of
@@ -60,8 +62,9 @@ def rref(rows, ncols):
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][c]
-        work[r] = [x / inv for x in work[r]]
+        # one inverse per pivot: dividing each entry would invert it again
+        scale = 1 / work[r][c]
+        work[r] = [x * scale for x in work[r]]
         for i in range(len(work)):
             if i != r and work[i][c]:
                 f = work[i][c]
@@ -80,6 +83,31 @@ def rank(rows, ncols=None):
         ncols = len(rows[0])
     _, pivots = rref(rows, ncols)
     return len(pivots)
+
+
+def rank_mod(rows, ncols: int, p: int) -> int:
+    """Rank over F_p of a matrix of integers, by elimination mod p."""
+    mat = [row[:] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = next(
+            (r for r in range(rank, len(mat)) if mat[r][col] % p), None
+        )
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        # columns left of `col` are never read again: update the tail only
+        tail = mat[rank][col:]
+        inv = pow(tail[0], -1, p)
+        for r in range(rank + 1, len(mat)):
+            row = mat[r]
+            factor = row[col] * inv % p
+            if factor:
+                row[col:] = [
+                    (a - factor * b) % p for a, b in zip(row[col:], tail)
+                ]
+        rank += 1
+    return rank
 
 
 def nullspace(rows, ncols, one=Fraction(1)):

@@ -107,6 +107,25 @@ def test_eigenspace_pinned_weight(capsys):
     assert section["status"] == NON_GENERIC_STATUS
 
 
+def test_eigenspace_weight_denominator_built_from_split_primes(capsys):
+    # P = 1048589 * 1048601 * 1048609 * 1048613, the first four primes
+    # >= 2^20 that are 1 mod 4: the rank certificate's prime must skip every
+    # prime dividing the weight's denominators
+    p = "1209050339761745127935513"
+    q = "1209050339761745127935514"
+    code, rep, _ = run_json(
+        capsys,
+        "eigenspace", "--builtin", "dihedral:4",
+        "--weight", f"i*{q}/{p}, 2*i*{q}/{p}",
+    )
+    assert code == 0
+    (section,) = rep["eigenspace"]
+    assert section["generic"] is True
+    assert section["evaluation_rank"] == 8
+    assert section["commutant_dim"] == 1
+    assert section["status"] == "certified"
+
+
 def test_eigenspace_requires_weight(capsys):
     code, out, err = run_cli(capsys, "eigenspace", "--builtin", "dihedral:4")
     assert code == 2

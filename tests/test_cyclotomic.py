@@ -17,6 +17,7 @@ from refleig.cyclotomic import (
     I_UNIT,
     ONE,
     ORDER_CAP,
+    Reduction,
     ZERO,
     cyc,
     _int_poly_div_exact,
@@ -27,6 +28,7 @@ from refleig.cyclotomic import (
 )
 from refleig.errors import InternalConsistencyError, OrderLimitError
 from refleig.parsing import format_scalar, parse_scalar
+from refleig.polynomials import Poly
 
 
 def test_basic_roots_of_unity():
@@ -259,3 +261,52 @@ def test_conductor_matches_galois_oracle(case):
     step = m // value.order
     promoted = {i * step: c for i, c in value.coeffs.items()}
     assert _reduce(m, promoted) == _reduce(m, terms)
+
+
+# -- reduction modulo a split prime -------------------------------------------
+
+_REDUCTION_ORDERS = (1, 4, 20, 28, 60)
+_denominated = st.builds(
+    Fraction, st.integers(min_value=-60, max_value=60), st.integers(2, 99)
+)
+
+
+@st.composite
+def reducible_values(draw):
+    m = draw(st.sampled_from(_REDUCTION_ORDERS))
+    terms = draw(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=m - 1), _denominated, max_size=4
+        )
+    )
+    return Cyclotomic(m, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(reducible_values(), reducible_values())
+def test_reduction_is_a_ring_map(a, b):
+    red = Reduction([a, b])
+    p = red.p
+    ra, rb = red.scalar(a), red.scalar(b)
+    assert red.scalar(a + b) == (ra + rb) % p
+    assert red.scalar(a * b) == ra * rb % p
+    assert red.scalar(-a) == -ra % p
+    assert red.scalar(ONE) == 1
+    assert red.scalar(ZERO) == 0
+
+
+def test_reduction_prime_avoids_the_denominators():
+    # the first four primes >= 2^20 that are 1 mod 4
+    skipped = (1048589, 1048601, 1048609, 1048613)
+    x = E(4) * Fraction(1, math.prod(skipped))
+    red = Reduction([x])
+    assert red.order == 4
+    assert red.p % 4 == 1
+    assert red.p > max(skipped)
+    assert red.scalar(x) * math.prod(skipped) % red.p == red.scalar(E(4))
+    f = Poly(2, {(1, 0): x, (0, 1): cyc(red.p)})
+    assert red.poly(f) == {(1, 0): red.scalar(x)}
+    with pytest.raises(InternalConsistencyError):
+        red.scalar(E(3))
+    with pytest.raises(InternalConsistencyError):
+        red.scalar(cyc(Fraction(1, red.p)))

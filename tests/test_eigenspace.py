@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import REFLECTION_BATTERY
 from refleig import linalg
-from refleig.cyclotomic import E, ONE, ZERO, cyc, prime_factors
+from refleig.cyclotomic import E, ONE, Reduction, ZERO, cyc, prime_factors
 from refleig.errors import (
     InsufficientSamplesError,
     SampleSpanError,
@@ -24,9 +25,6 @@ from refleig.eigenspace import (
     InducedModel,
     PlaneWaveSum,
     Weight,
-    _rank_lower_bound,
-    _root_of_unity_mod,
-    _split_prime,
     commutant_dimension,
     degenerate_weight,
     dual_cyclic_check,
@@ -431,14 +429,21 @@ def test_primality_helper_matches_sympy():
 
 
 def test_split_prime_properties():
-    p = _split_prime(12, 1 << 20)
+    red = Reduction([E(12)])
+    p = red.p
     assert p >= 1 << 20
     assert p % 12 == 1
     assert prime_factors(p) == (p,)
-    z = _root_of_unity_mod(p, 12)
+    z = red.zeta
     assert pow(z, 12, p) == 1
     assert pow(z, 6, p) != 1
     assert pow(z, 4, p) != 1
+
+
+def _rank_lower_bound(rows, ncols):
+    red = Reduction([x for row in rows for x in row])
+    reduced = [[red.scalar(x) for x in row] for row in rows]
+    return linalg.rank_mod(reduced, ncols, red.p)
 
 
 def test_rank_lower_bound_matches_exact_rank():
@@ -456,6 +461,22 @@ def test_rank_lower_bound_matches_exact_rank():
         assert lower == exact
     ones = [[ONE] * 3 for _ in range(3)]
     assert _rank_lower_bound(ones, 3) == 1
+
+
+@pytest.mark.parametrize("spec", REFLECTION_BATTERY)
+def test_evaluation_rank_matches_the_exact_reference(pipeline, spec):
+    # exact evaluation at every orbit point, duplicates included, then exact
+    # elimination: the route the modular certificate replaces
+    group, _, harmonics = pipeline(spec)
+    rng = random.Random(53)
+    for w in (
+        random_generic_weight(group, rng),
+        degenerate_weight(group, rng),
+        zero_weight(group),
+    ):
+        m = InducedModel.build(w)
+        exact = linalg.rank(evaluation_matrix(m, harmonics))
+        assert evaluation_rank(m, harmonics) == exact
 
 
 # -- commutant ---------------------------------------------------------------------

@@ -252,6 +252,19 @@ def test_product_decomposition_holds_and_detects_corruption():
     assert not broken
     assert broken.failed_degree == 2
 
+    # a repeated harmonic keeps the count and loses the span: the rank mod p
+    # misses, and the exact elimination it falls back to decides
+    repeated_layers = []
+    for degree, basis in harmonics.basis_by_degree:
+        if degree == 2:
+            basis = (basis[0], basis[0])
+        repeated_layers.append((degree, tuple(basis)))
+    repeated = HarmonicSpace(tuple(repeated_layers), group.order)
+    broken = verify_product_decomposition(group, invariants, repeated, 8)
+    assert not broken
+    assert broken.failed_degree == 2
+    assert broken.detail == "products span rank 2 < dim S^2 = 3"
+
 
 def test_noether_candidates_span_the_invariant_subspaces():
     group = builtin("dihedral:3")
