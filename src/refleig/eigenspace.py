@@ -22,10 +22,18 @@ a full exact rank; a lower one falls back to exact evaluation and
 elimination over the cyclotomic field.  The commutant is computed twice,
 numerically at high precision and exactly from the orbit block structure,
 and both must agree.
+
+The dual-orbit test of Theorem 3.10 is the independent numeric route: the
+rows pi^c(g) u* of the K-fixed functional over the sample elements, embedded
+at the working precision p, form a matrix A that passes when every singular
+value exceeds t = 2^(-(p // 2)).  That holds exactly when A^H A - t^2 I is
+positive definite, which is decided by an LDL^T factorization of the exact
+integer Gram matrix of the fixed-point rows in real form, with no SVD.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath
 
@@ -61,12 +69,20 @@ class Weight:
     def is_zero(self):
         return all(not x for x in self.entries)
 
+    @cached_property
+    def orbit(self) -> "Orbit":
+        """The orbit, built once by `orbit(w)` and shared by every later caller."""
+        return orbit(self)
+
 
 @dataclass(frozen=True)
 class Orbit:
-    """Exponent vectors k . lambda indexed like the group elements."""
+    """Exponent vectors k . lambda indexed like the group elements.
 
-    weight: Weight
+    It holds no reference back to its weight, which caches it: a cycle would
+    keep every weight drawn and rejected alive until the cyclic collector ran.
+    """
+
     points: tuple  # tuple of n-tuples of Cyclotomic, one per element
     classes: tuple  # tuple of tuples of element indices with equal points
     point_class: tuple  # element index -> class id
@@ -78,7 +94,13 @@ class Orbit:
 
 def orbit(w: Weight) -> Orbit:
     group = w.group
-    points = tuple(m.apply(w.entries) for m in group.elements)
+    # equal coordinates share one object: the weight keeps its orbit, and the
+    # orbit of a permutation group has no more distinct coordinates than it
+    coords = {}
+    points = tuple(
+        tuple(coords.setdefault(x, x) for x in m.apply(w.entries))
+        for m in group.elements
+    )
     class_of = {}
     classes = []
     point_class = []
@@ -96,7 +118,6 @@ def orbit(w: Weight) -> Orbit:
             "distinct orbit size must divide the group order"
         )
     return Orbit(
-        w,
         points,
         tuple(tuple(c) for c in classes),
         tuple(point_class),
@@ -105,11 +126,11 @@ def orbit(w: Weight) -> Orbit:
 
 def is_generic(w: Weight) -> bool:
     """No element besides the identity fixes the weight (orbit-stabilizer)."""
-    return orbit(w).distinct_count == w.group.order
+    return w.orbit.distinct_count == w.group.order
 
 
 def stabilizer_order(w: Weight) -> int:
-    return w.group.order // orbit(w).distinct_count
+    return w.group.order // w.orbit.distinct_count
 
 
 # -- formal exponential ring ---------------------------------------------------
@@ -221,7 +242,7 @@ class InducedModel:
 
     @staticmethod
     def build(w: Weight) -> "InducedModel":
-        return InducedModel(w.group, w, orbit(w))
+        return InducedModel(w.group, w, w.orbit)
 
     @property
     def dimension(self):
@@ -353,16 +374,33 @@ def invariant_eigenvalues(invariants, w: Weight):
 # -- numeric helpers -------------------------------------------------------------
 
 
-def _numeric_rank(rows, precision):
-    """Rank via singular values above 2^(-precision/2) at `precision` bits."""
-    threshold = mpmath.mpf(2) ** (-(precision // 2))
-    with mpmath.workprec(precision + 10):
-        mat = mpmath.matrix(len(rows), len(rows[0]))
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                mat[i, j] = x
-        sing = mpmath.svd(mat, compute_uv=False)
-        return sum(1 for k in range(sing.rows) if sing[k] > threshold)
+def _numerically_full_rank(rows, precision: int) -> bool:
+    """Whether every singular value of the matrix exceeds t = 2^(-(precision // 2)).
+
+    sigma_min(A) > t exactly when A^H A - t^2 I is positive definite.  The
+    real form R = [[X, -Y], [Y, X]] of A = X + iY has the singular values of
+    A, each twice, so `linalg.gram_positive_definite` decides this for
+    R^T R - t^2 I; no singular value is computed.  Each row of `rows`, any
+    iterable, is truncated to integers at scale 2^P, P = precision + 10, as
+    it arrives.  That moves sigma_min by at most sqrt(2 r n) * 2^(-P) for r
+    rows of n entries, and each fixed-point step at scale 2^(2P) errs by
+    2^(-2P): both far below t and t^2.
+    """
+    bits = precision + 10
+    re_rows = []
+    im_rows = []
+    for row in rows:
+        # `ldexp` and `int` shift the mantissa exactly, whatever working
+        # precision is in force
+        re_rows.append([int(mpmath.ldexp(x.real, bits)) for x in row])
+        im_rows.append([int(mpmath.ldexp(x.imag, bits)) for x in row])
+    t_sq = 1 << (2 * bits - 2 * (precision // 2))
+    # the columns of R
+    xs = list(zip(*re_rows))
+    ys = list(zip(*im_rows))
+    cols = [x + y for x, y in zip(xs, ys)]
+    cols += [tuple(-v for v in y) + x for x, y in zip(xs, ys)]
+    return linalg.gram_positive_definite(cols, t_sq, 2 * bits)
 
 
 _SEPARATION_DOUBLINGS = 4
@@ -404,20 +442,27 @@ def dual_cyclic_check(m: InducedModel, samples, precision: int = 128) -> bool:
     """Numeric test that the dual orbit of the fixed functional spans.
 
     Each sample g contributes the coordinate row of the dual vector
-    pi^c(g) u* in the dual basis; the check passes when the row space has
-    full rank |K| at the working precision.
+    pi^c(g) u* in the dual basis, embedded at `precision` bits.  The check
+    passes when every singular value of the row matrix A exceeds
+    t = 2^(-(precision // 2)), that is, when A^H A - t^2 I is positive
+    definite; this is decided by an LDL^T factorization of the exact integer
+    Gram matrix of the fixed-point rows in real form, with no SVD.
     """
     if len(samples) < m.dimension:
         raise InsufficientSamplesError(
             f"need at least {m.dimension} samples, got {len(samples)}"
         )
+    return _numerically_full_rank(_dual_rows(m, samples, precision), precision)
+
+
+def _dual_rows(m: InducedModel, samples, precision: int):
+    """Coordinate rows of pi^c(g) u* in the dual basis, embedded at `precision`
+    bits, generated one sample at a time."""
     u = m.fixed_vector()
-    with mpmath.workprec(precision + 10):
-        rows = []
-        for g in samples:
-            moved = model_act(m, g, u)
-            rows.append([mpmath.conj(entry.embed(precision)) for entry in moved])
-        return _numeric_rank(rows, precision) == m.dimension
+    for g in samples:
+        with mpmath.workprec(precision + 10):
+            row = [mpmath.conj(entry.embed(precision)) for entry in model_act(m, g, u)]
+        yield row
 
 
 # -- evaluation matrix ------------------------------------------------------------

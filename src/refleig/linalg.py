@@ -6,7 +6,9 @@ are lists of row lists.  Sizes here are desk scale, so plain Gaussian
 elimination with first-nonzero pivoting is used throughout; pivot choice is
 deterministic, which several callers rely on for reproducible bases.
 `rank_mod` is the one routine over F_p instead: it takes integer matrices
-reduced by `cyclotomic.Reduction`.
+reduced by `cyclotomic.Reduction`.  `gram_positive_definite` is the one
+numeric routine: it takes integer matrices in fixed point and works with
+exact integer arithmetic.
 
 Every exact sum in the package goes through one of two accumulators:
 `add_term` for sparse sums keyed by exponent, and `dot` for dense sums of
@@ -15,6 +17,7 @@ addition is a full construction and canonicalization, and `ZERO + x` pays
 for one that changes nothing.
 """
 
+import operator
 from fractions import Fraction
 
 
@@ -110,6 +113,31 @@ def rank_mod(rows, ncols: int, p: int) -> int:
     return rank
 
 
+def gram_positive_definite(cols, shift: int, frac_bits: int) -> bool:
+    """Whether C^T C - shift * I is positive definite, in integer fixed point.
+
+    C is the integer matrix with columns `cols`; its Gram matrix is formed
+    exactly, `shift` is on its scale and `frac_bits` is its binary point.
+    The LDL^T factorization runs in fixed point at that scale and returns
+    False at the first pivot <= 0: by Sylvester's law of inertia the matrix
+    is positive definite exactly when every pivot is positive.
+    """
+    n = len(cols)
+    g = [[sum(map(operator.mul, cols[i], cols[k])) for k in range(i + 1)] for i in range(n)]
+    # right-looking elimination on the lower triangle; the shift moves only
+    # the diagonal, so it is applied as each pivot is read
+    for j in range(n):
+        d = g[j][j] - shift
+        if d <= 0:
+            return False
+        for i in range(j + 1, n):
+            row = g[i]
+            l = (row[j] << frac_bits) // d
+            for k in range(j + 1, i + 1):
+                row[k] -= (l * g[k][j]) >> frac_bits
+    return True
+
+
 def nullspace(rows, ncols, one=Fraction(1)):
     """Basis of the right nullspace, one vector per free column.
 
@@ -179,8 +207,9 @@ class RowSpan:
                 break
         if lead is None:
             return False
-        inv = red[lead]
-        red = [x / inv for x in red]
+        # one inverse per pivot, as in `rref`
+        scale = 1 / red[lead]
+        red = [x * scale for x in red]
         for i, (row, pcol) in enumerate(zip(self.rows, self.pivot_cols)):
             if row[lead]:
                 f = row[lead]

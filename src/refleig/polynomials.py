@@ -150,19 +150,18 @@ class Poly:
         """Exact value at a vector of cyclotomic scalars."""
         point = [cyc(x) for x in point]
         acc = None
-        powers = [{0: ONE} for _ in range(self.nvars)]
-
-        def var_pow(i, k):
-            cache = powers[i]
-            if k not in cache:
-                cache[k] = var_pow(i, k - 1) * point[i]
-            return cache[k]
-
+        # powers[i][k] = point[i]^k, extended as the terms need them; a
+        # self-recursive closure here would leave a reference cycle holding
+        # the whole table until the cyclic collector ran
+        powers = [[ONE] for _ in range(self.nvars)]
         for e, c in self.terms.items():
             term = c
             for i, k in enumerate(e):
                 if k:
-                    term = term * var_pow(i, k)
+                    pw = powers[i]
+                    while len(pw) <= k:
+                        pw.append(pw[-1] * point[i])
+                    term = term * pw[k]
             acc = term if acc is None else acc + term
         return ZERO if acc is None else acc
 

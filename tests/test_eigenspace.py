@@ -43,6 +43,7 @@ from refleig.eigenspace import (
     stabilizer_order,
     zero_weight,
 )
+from refleig.eigenspace import _dual_rows, _numerically_full_rank
 from refleig.groups import GroupElement, builtin, g_multiply
 
 I = E(4)
@@ -369,6 +370,83 @@ def test_dual_cyclic_rejects_small_or_redundant_samples():
     assert not dual_cyclic_check(m, stuck)
 
 
+def svd_full_rank(rows, precision):
+    """Reference: every mpmath singular value above 2^(-precision/2)."""
+    threshold = mpmath.mpf(2) ** (-(precision // 2))
+    with mpmath.workprec(precision + 10):
+        sing = mpmath.svd(mpmath.matrix(rows), compute_uv=False)
+        return all(sing[k] > threshold for k in range(sing.rows))
+
+
+@pytest.mark.parametrize("spec", REFLECTION_BATTERY)
+def test_dual_criterion_matches_the_svd_reference(spec):
+    # a generic, a degenerate and the zero weight: the Gram-matrix LDL^T
+    # verdict equals the SVD verdict, and both track genericity
+    group = builtin(spec)
+    rng = random.Random(71)
+    for w in (
+        random_generic_weight(group, rng),
+        degenerate_weight(group, rng),
+        zero_weight(group),
+    ):
+        m = InducedModel.build(w)
+        samples = dual_sample_elements(m, rng)
+        verdict = dual_cyclic_check(m, samples)
+        assert verdict == svd_full_rank(list(_dual_rows(m, samples, 128)), 128)
+        assert verdict == is_generic(w)
+
+
+def random_unitary(n, rng):
+    """Product of n complex Householder reflections I - 2 v v^H / (v^H v)."""
+    u = mpmath.eye(n)
+    for _ in range(n):
+        v = mpmath.matrix(
+            [mpmath.mpc(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+        )
+        u = u * (mpmath.eye(n) - (2 / (v.H * v)[0]) * (v * v.H))
+    return u
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+@pytest.mark.parametrize("shape", [(8, 8), (11, 8)])
+@pytest.mark.parametrize("side", [1, -1])
+def test_full_rank_criterion_at_the_threshold(precision, shape, side):
+    # U diag(sigma) V with sigma_min = t * 2^(+-1/64): 1% from the threshold
+    nrows, ncols = shape
+    rng = random.Random(73 + precision + nrows + side)
+    t = mpmath.mpf(2) ** (-(precision // 2))
+    with mpmath.workprec(precision + 40):
+        sigma = [t * mpmath.mpf(2) ** (mpmath.mpf(side) / 64)] * 2 + [
+            t * mpmath.mpf(2) ** rng.uniform(1, precision // 2)
+            for _ in range(ncols - 2)
+        ]
+        rng.shuffle(sigma)
+        diag = mpmath.zeros(nrows, ncols)
+        for k, s in enumerate(sigma):
+            diag[k, k] = s
+        a = random_unitary(nrows, rng) * diag * random_unitary(ncols, rng)
+        rows = [[a[i, j] for j in range(ncols)] for i in range(nrows)]
+    assert _numerically_full_rank(rows, precision) == (side > 0)
+    assert svd_full_rank(rows, precision) == (side > 0)
+
+
+def test_dual_criterion_with_more_samples_than_the_group_order():
+    group = builtin("dihedral:5")
+    rng = random.Random(79)
+    generic = InducedModel.build(random_generic_weight(group, rng))
+    pinned = InducedModel.build(degenerate_weight(group, rng))
+    for m, expected in ((generic, True), (pinned, False)):
+        samples = dual_sample_elements(m, rng) + [
+            random_element(group, rng) for _ in range(7)
+        ]
+        assert len(samples) > group.order
+        rows = list(_dual_rows(m, samples, 128))
+        assert dual_cyclic_check(m, samples) == expected
+        assert svd_full_rank(rows, 128) == expected
+    stuck = [GroupElement(group, (ZERO, ZERO), 0)] * (group.order + 5)
+    assert not dual_cyclic_check(generic, stuck)
+
+
 # -- evaluation matrix -------------------------------------------------------------
 
 
@@ -601,3 +679,23 @@ def test_degenerate_weight_is_pinned_but_nonzero():
             assert not w.is_zero()
             assert not is_generic(w)
             assert stabilizer_order(w) > 1
+
+
+def test_default_battery_builds_each_orbit_once(monkeypatch):
+    # the orbit built to test genericity is the one the model reuses
+    from refleig import eigenspace
+    from refleig.report import PipelineConfig, verify_all
+
+    built = []
+    compute = eigenspace.orbit
+
+    def counting_orbit(w):
+        built.append(w)
+        return compute(w)
+
+    monkeypatch.setattr(eigenspace, "orbit", counting_orbit)
+    config = PipelineConfig()
+    report = verify_all(builtin("dihedral:3"), None, config)
+    assert len(report["eigenspace"]) == config.battery_generic + 1
+    assert len(built) >= config.battery_generic + 1
+    assert len({id(w) for w in built}) == len(built)

@@ -4,6 +4,7 @@ The differential-operator application is cross-checked against sympy, which
 serves as the independent oracle for every frozen value used elsewhere.
 """
 
+import gc
 import random
 from fractions import Fraction
 
@@ -47,6 +48,20 @@ def test_evaluate_and_substitute():
     assert p.evaluate((cyc(2), cyc(1))) == -2
     doubled = p.substitute([Poly.variable(2, 0) * cyc(2), Poly.variable(2, 1)])
     assert doubled == P("4*x1^2 - 6*x1*x2^2")
+
+
+def test_evaluate_leaves_no_reference_cycle():
+    # the power table must be freed by reference counting, not left for the
+    # cyclic collector
+    p = P("x1^5 - 3*x1*x2^4 + E(4)*x2^3")
+    gc.collect()
+    gc.disable()
+    try:
+        for k in range(20):
+            p.evaluate((cyc(k), E(4) * k))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_action_on_coordinates_is_contragredient():
