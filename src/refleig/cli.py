@@ -191,9 +191,19 @@ def run(args) -> tuple[dict, int]:
     return rep, report_exit_code(rep)
 
 
+def _reject_empty_values(parser, args):
+    """Before Python 3.13, argparse reads `--opt=--` as an empty list instead
+    of the text "--"; that is a missing value, so a usage error (exit 2)."""
+    for key, value in vars(args).items():
+        values = value if key == "weight" and value else [value]
+        if any(isinstance(v, list) for v in values):
+            parser.error(f"argument --{key.replace('_', '-')}: expected one argument")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _reject_empty_values(parser, args)
     try:
         payload, code = run(args)
     except (ParseError, OrderLimitError, GroupClosureError) as exc:

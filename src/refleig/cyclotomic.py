@@ -19,10 +19,12 @@ Q(zeta_{m/p}) is closed form, with no linear solve:
   Q(zeta_m'), it descends exactly when c_1 = ... = c_(p-1), and then equals
   c_0 - c_(p-1).  For p = 2 this always holds: Q(zeta_2m') = Q(zeta_m').
 
-Rational coefficients are `fractions.Fraction` throughout; nothing here is
-floating point except the explicit high-precision embedding at the bottom.
-`Reduction`, last in the module, maps values into a prime field F_p; it is
-the one modular reduction behind every rank certified mod p.
+Coordinates are integer numerators over one denominator den > 0 with
+gcd(den, *nums) = 1 (H. Cohen, GTM 138, section 4.2), so the arithmetic runs
+on ints; `Fraction` appears only at the boundary.  Nothing here is floating
+point except the explicit embedding.  `Reduction`, last in the module, maps
+values into a prime field F_p; it is the one modular reduction behind every
+rank certified mod p.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ Rational = Fraction
 # promotions past this cap rather than looping on degenerate input.
 ORDER_CAP = 1 << 16
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_gcd = math.gcd
 
 
 @lru_cache(maxsize=None)
@@ -101,27 +102,29 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _reduction_rows(m: int):
-    """x^j mod Phi_m for j in [phi(m), m), as integer coefficient tuples."""
+    """x^j mod Phi_m for j in [phi(m), m), as sparse ((i, coeff), ...) rows."""
     phi = euler_phi(m)
     p = cyclotomic_polynomial(m)
-    rows = {}
+    dense = {}
     cur = [-c for c in p[:phi]]  # x^phi, since Phi_m is monic
-    rows[phi] = tuple(cur)
+    dense[phi] = cur
     for j in range(phi + 1, m):
         top = cur[phi - 1]
         cur = [0] + cur[: phi - 1]
         if top:
-            red = rows[phi]
-            cur = [a + top * b for a, b in zip(cur, red)]
-        rows[j] = tuple(cur)
-    return rows
+            cur = [a + top * b for a, b in zip(cur, dense[phi])]
+        dense[j] = cur
+    return {
+        j: tuple((i, r) for i, r in enumerate(row) if r)
+        for j, row in dense.items()
+    }
 
 
 def _reduce(m, terms):
-    """Map {exponent: Fraction} with arbitrary int exponents to a dense
+    """Map {exponent: coefficient} with arbitrary int exponents to a dense
     coefficient vector on the basis 1, z, ..., z^(phi(m)-1)."""
     phi = euler_phi(m)
-    vec = [_ZERO] * phi
+    vec = [0] * phi
     rows = None
     for e, c in terms.items():
         if not c:
@@ -132,10 +135,44 @@ def _reduce(m, terms):
         else:
             if rows is None:
                 rows = _reduction_rows(m)
-            for i, r in enumerate(rows[e]):
-                if r:
+            for i, r in rows[e]:
+                vec[i] += c * r
+    return vec
+
+
+def _fold(m, full):
+    """Reduce a dense vector indexed by exponents mod m to phi(m) coordinates."""
+    phi = euler_phi(m)
+    vec = full[:phi]
+    if phi < m:
+        rows = _reduction_rows(m)
+        for e in range(phi, m):
+            c = full[e]
+            if c:
+                for i, r in rows[e]:
                     vec[i] += c * r
     return vec
+
+
+@lru_cache(maxsize=None)
+def _regrouping(m, p):
+    """For m = p * sub with gcd(p, sub) = 1: for each basis index j of
+    Q(zeta_m), the part b with z^j = zeta_sub^a zeta_p^b and the reduced
+    coordinates of zeta_sub^a in Q(zeta_sub) (CRT: a = j/p mod sub,
+    b = j/sub mod p)."""
+    sub = m // p
+    inv_p = pow(p, -1, sub)
+    inv_sub = pow(sub, -1, p)
+    phi_sub = euler_phi(sub)
+    out = []
+    for j in range(euler_phi(m)):
+        a = j * inv_p % sub
+        if a < phi_sub:
+            row = ((a, 1),)
+        else:
+            row = _reduction_rows(sub)[a]
+        out.append((j * inv_sub % p, row))
+    return tuple(out)
 
 
 def _descend(m, p, vec):
@@ -146,20 +183,21 @@ def _descend(m, p, vec):
     """
     sub = m // p
     if sub % p == 0:
-        if any(c for j, c in enumerate(vec) if j % p):
-            return None
+        for j in range(len(vec)):
+            if vec[j] and j % p:
+                return None
         return vec[::p]
-    # z^j = zeta_sub^a zeta_p^b with a = j/p mod sub, b = j/sub mod p (CRT)
-    inv_p = pow(p, -1, sub)
-    inv_sub = pow(sub, -1, p)
-    parts = [{} for _ in range(p)]
-    for j, c in enumerate(vec):
+    phi_sub = euler_phi(sub)
+    cs = [[0] * phi_sub for _ in range(p)]
+    for (b, row), c in zip(_regrouping(m, p), vec):
         if c:
-            parts[j * inv_sub % p][j * inv_p % sub] = c
-    cs = [_reduce(sub, t) for t in parts]
+            part = cs[b]
+            for i, r in row:
+                part[i] += c * r
     last = cs[-1]
-    if any(c != last for c in cs[1:-1]):
-        return None
+    for k in range(1, p - 1):
+        if cs[k] != last:
+            return None
     return [a - b for a, b in zip(cs[0], last)]
 
 
@@ -177,26 +215,63 @@ def _canonicalize(m, vec):
     return m, vec
 
 
+def _new(order, nums, den):
+    """A value from parts already in canonical form."""
+    x = object.__new__(Cyclotomic)
+    x.order = order
+    x.nums = nums
+    x.den = den
+    x._hash = None
+    return x
+
+
+def _finish(m, vec, den):
+    """The canonical value of (m, vec / den) for an integer vector vec."""
+    m, vec = _canonicalize(m, vec)
+    nums = {i: c for i, c in enumerate(vec) if c}
+    if den != 1:
+        g = _gcd(den, *nums.values())
+        if g != 1:
+            nums = {i: c // g for i, c in nums.items()}
+            den //= g
+    return _new(m, nums, den)
+
+
+def _rational(n, d):
+    """The value n / d for coprime ints n and d > 0."""
+    return _new(1, {0: n} if n else {}, d if n else 1)
+
+
 class Cyclotomic:
-    """An element of some Q(zeta_m), always held in canonical form."""
+    """An element of some Q(zeta_m), always held in canonical form:
+    `nums[i] / den` is the coordinate of z^i."""
 
-    __slots__ = ("order", "coeffs", "_hash")
+    __slots__ = ("order", "nums", "den", "_hash")
 
-    def __init__(self, order, terms, _canonical=False):
-        if _canonical:
-            self.order = order
-            self.coeffs = terms
-        else:
-            if order < 1:
-                raise ValueError("cyclotomic order must be >= 1")
-            if order > ORDER_CAP:
-                raise OrderLimitError(
-                    f"order {order} exceeds cap {ORDER_CAP}"
+    def __init__(self, order, terms):
+        if order < 1:
+            raise ValueError("cyclotomic order must be >= 1")
+        if order > ORDER_CAP:
+            raise OrderLimitError(
+                f"order {order} exceeds cap {ORDER_CAP}"
+            )
+        den = 1
+        for c in terms.values():
+            if isinstance(c, Fraction):
+                den = math.lcm(den, c.denominator)
+            elif not isinstance(c, int):
+                raise TypeError(
+                    f"cyclotomic coefficients must be int or Fraction, "
+                    f"not {type(c).__name__}"
                 )
-            vec = _reduce(order, terms)
-            order, vec = _canonicalize(order, vec)
-            self.order = order
-            self.coeffs = {i: c for i, c in enumerate(vec) if c}
+        ints = {
+            e: c * den if isinstance(c, int) else c.numerator * (den // c.denominator)
+            for e, c in terms.items()
+        }
+        x = _finish(order, _reduce(order, ints), den)
+        self.order = x.order
+        self.nums = x.nums
+        self.den = x.den
         self._hash = None
 
     # -- construction helpers ------------------------------------------------
@@ -204,29 +279,47 @@ class Cyclotomic:
     @staticmethod
     def from_rational(q) -> "Cyclotomic":
         q = Fraction(q)
-        return Cyclotomic(1, {0: q} if q else {}, _canonical=True)
+        return _rational(q.numerator, q.denominator)
 
     @staticmethod
     def zeta(m: int, k: int = 1) -> "Cyclotomic":
         if m < 1:
             raise ValueError("cyclotomic order must be >= 1")
-        return Cyclotomic(m, {k: _ONE})
+        return Cyclotomic(m, {k: 1})
 
     # -- canonical data ------------------------------------------------------
 
+    @property
+    def coeffs(self) -> dict:
+        """The coordinates as {exponent: Fraction}, a fresh dict per call."""
+        den = self.den
+        return {i: Fraction(c, den) for i, c in self.nums.items()}
+
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.order, frozenset(self.coeffs.items())))
+            if self.order == 1:
+                # equal to an int or Fraction, so it must hash like one
+                self._hash = hash(self.to_fraction())
+            else:
+                self._hash = hash((self.order, self.den, frozenset(self.nums.items())))
         return self._hash
 
     def __eq__(self, other):
+        if type(other) is int:
+            if self.order != 1 or self.den != 1:
+                return False
+            return self.nums.get(0, 0) == other
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (
+            self.order == other.order
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __repr__(self):
         from .parsing import format_scalar
@@ -244,83 +337,120 @@ class Cyclotomic:
     def to_fraction(self) -> Fraction:
         if self.order != 1:
             raise ValueError("value is not rational")
-        return self.coeffs.get(0, _ZERO)
+        return Fraction(self.nums.get(0, 0), self.den)
 
     # -- field operations ----------------------------------------------------
 
-    def _promoted(self, order):
-        if order == self.order:
-            return {i: c for i, c in self.coeffs.items()}
-        step = order // self.order
-        return {i * step: c for i, c in self.coeffs.items()}
+    def _plus(self, other, sign):
+        """self + sign * other for sign in (1, -1)."""
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other if sign == 1 else -other
+        da, db = self.den, other.den
+        if da == db:
+            den, sa, sb = da, 1, sign
+        else:
+            g = _gcd(da, db)
+            sa, sb = db // g, da // g
+            den = da * sa
+            sb *= sign
+        ma, mb = self.order, other.order
+        if ma == 1 and mb == 1:
+            n = self.nums[0] * sa + other.nums[0] * sb
+            g = _gcd(n, den)
+            return _rational(n // g, den // g)
+        if ma == mb:
+            vec = [0] * euler_phi(ma)
+            for i, c in self.nums.items():
+                vec[i] = c * sa
+            for i, c in other.nums.items():
+                vec[i] += c * sb
+            return _finish(ma, vec, den)
+        m = _common_order(ma, mb)
+        full = [0] * m
+        step = m // ma
+        for i, c in self.nums.items():
+            full[i * step] = c * sa
+        step = m // mb
+        for i, c in other.nums.items():
+            full[i * step] += c * sb
+        return _finish(m, _fold(m, full), den)
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        m = _common_order(self.order, other.order)
-        a = self._promoted(m)
-        for e, c in other._promoted(m).items():
-            a[e] = a.get(e, _ZERO) + c
-        return Cyclotomic(m, a)
+        if type(other) is not Cyclotomic:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(
-            self.order, {i: -c for i, c in self.coeffs.items()}, _canonical=True
-        )
+        return _new(self.order, {i: -c for i, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.__add__(other.__neg__())
+        if type(other) is not Cyclotomic:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other.__sub__(self)
+        return other._plus(self, -1)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.order == 1:
-            q = other.coeffs.get(0, _ZERO)
-            if not q:
+        if type(other) is not Cyclotomic:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = (other, self) if self.order == 1 else (self, other)
+        if b.order == 1:
+            if not a.nums or not b.nums:
                 return ZERO
-            return Cyclotomic(
-                self.order,
-                {i: c * q for i, c in self.coeffs.items()},
-                _canonical=True,
-            )
-        if self.order == 1:
-            return other.__mul__(self)
-        m = _common_order(self.order, other.order)
-        a = self._promoted(m)
-        b = other._promoted(m)
-        prod = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = (ea + eb) % m
-                prod[e] = prod.get(e, _ZERO) + ca * cb
-        return Cyclotomic(m, prod)
+            # a canonical value N / D times a rational n / d stays canonical
+            # once gcd(n N, D d) = gcd(n, D) gcd(N, d) is divided out, with N
+            # the gcd of the numerators
+            n, d = b.nums[0], b.den
+            g = _gcd(n, a.den)
+            if d != 1:
+                g *= _gcd(d, *a.nums.values())
+            if g == 1:
+                nums = {i: c * n for i, c in a.nums.items()}
+            else:
+                nums = {i: c * n // g for i, c in a.nums.items()}
+            return _new(a.order, nums, a.den * d // g)
+        m = _common_order(a.order, b.order)
+        full = [0] * m
+        sa, sb = m // a.order, m // b.order
+        terms_b = [(j * sb, cb) for j, cb in b.nums.items()]
+        for i, ca in a.nums.items():
+            i *= sa
+            for j, cb in terms_b:
+                e = i + j
+                if e >= m:
+                    e -= m
+                full[e] += ca * cb
+        return _finish(m, _fold(m, full), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        if not self.coeffs:
+        if not self.nums:
             raise ZeroDivisionError("division by cyclotomic zero")
         m = self.order
         if m == 1:
-            return Cyclotomic.from_rational(1 / self.coeffs[0])
+            n = self.nums[0]
+            return _rational(self.den, n) if n > 0 else _rational(-self.den, -n)
         phi = euler_phi(m)
-        a = [self.coeffs.get(i, _ZERO) for i in range(phi)]
+        a = [Fraction(self.nums.get(i, 0)) for i in range(phi)]
         mod = [Fraction(c) for c in cyclotomic_polynomial(m)]
+        # (N / D)^(-1) = D * N^(-1)
         inv = _poly_modinv(a, mod)
-        return Cyclotomic(m, {i: c for i, c in enumerate(inv) if c})
+        return Cyclotomic(m, {i: c * self.den for i, c in enumerate(inv) if c})
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -352,26 +482,39 @@ class Cyclotomic:
         """Complex conjugation: the Galois map zeta -> zeta^(-1)."""
         if self.order == 1:
             return self
-        vec = _reduce(self.order, {-i: c for i, c in self.coeffs.items()})
-        return Cyclotomic(
-            self.order, {i: c for i, c in enumerate(vec) if c}, _canonical=True
+        vec = _reduce(self.order, {-i: c for i, c in self.nums.items()})
+        return _new(
+            self.order, {i: c for i, c in enumerate(vec) if c}, self.den
         )
 
     # -- numeric embedding ---------------------------------------------------
 
     def embed(self, precision: int = 53):
         """Value as an mpmath complex number at `precision` bits."""
-        with mpmath.workprec(precision + 10):
+        den = self.den
+        prec = precision + 10
+        with mpmath.workprec(prec):
             acc = mpmath.mpc(0)
-            for i, c in self.coeffs.items():
-                root = mpmath.expjpi(mpmath.mpf(2 * i) / self.order)
-                acc += root * mpmath.mpf(c.numerator) / c.denominator
+            for i, c in self.nums.items():
+                # each coordinate in lowest terms, so that every term rounds
+                # exactly as the coordinate's own fraction would
+                g = _gcd(c, den)
+                acc += _root(i, self.order, prec) * mpmath.mpf(c // g) / (den // g)
             return +acc
+
+
+@lru_cache(maxsize=None)
+def _root(i, m, prec):
+    """zeta_m^i = e^(2 pi i i / m) at `prec` bits."""
+    with mpmath.workprec(prec):
+        return mpmath.expjpi(mpmath.mpf(2 * i) / m)
 
 
 def _coerce(x):
     if isinstance(x, Cyclotomic):
         return x
+    if type(x) is int:
+        return _rational(x, 1)
     if isinstance(x, (int, Fraction)):
         return Cyclotomic.from_rational(x)
     return NotImplemented
@@ -390,6 +533,7 @@ def _common_order(a, b):
 
 def _poly_modinv(a, mod):
     """Inverse of polynomial a modulo `mod` over Q (dense, low-first)."""
+    zero = Fraction(0)
 
     def trim(p):
         while p and not p[-1]:
@@ -398,7 +542,7 @@ def _poly_modinv(a, mod):
 
     def polydivmod(num, den):
         num = list(num)
-        q = [_ZERO] * max(0, len(num) - len(den) + 1)
+        q = [zero] * max(0, len(num) - len(den) + 1)
         for i in range(len(q) - 1, -1, -1):
             f = num[i + len(den) - 1] / den[-1]
             q[i] = f
@@ -410,17 +554,17 @@ def _poly_modinv(a, mod):
     # extended Euclid on (a, mod); gcd is a nonzero constant since Phi_m
     # is irreducible over Q and a != 0 has degree < deg Phi_m
     r0, r1 = trim([Fraction(c) for c in mod]), trim(list(a))
-    s0, s1 = [], [_ONE]  # coefficients multiplying a
+    s0, s1 = [], [Fraction(1)]  # coefficients multiplying a
     while len(r1) > 1:
         q, r = polydivmod(r0, r1)
         # s_next = s0 - q * s1
-        prod = [_ZERO] * (len(q) + len(s1) - 1) if s1 else []
+        prod = [zero] * (len(q) + len(s1) - 1) if s1 else []
         for i, qi in enumerate(q):
             if qi:
                 for j, sj in enumerate(s1):
                     prod[i + j] += qi * sj
         s_next = [
-            (s0[i] if i < len(s0) else _ZERO) - (prod[i] if i < len(prod) else _ZERO)
+            (s0[i] if i < len(s0) else zero) - (prod[i] if i < len(prod) else zero)
             for i in range(max(len(s0), len(prod)))
         ]
         r0, r1 = r1, trim(r)
@@ -433,12 +577,12 @@ def _poly_modinv(a, mod):
     if len(inv) >= len(mod):
         _, inv = polydivmod(inv, [Fraction(c) for c in mod])
     phi = len(mod) - 1
-    inv += [_ZERO] * (phi - len(inv))
+    inv += [zero] * (phi - len(inv))
     return inv[:phi]
 
 
-ZERO = Cyclotomic.from_rational(0)
-ONE = Cyclotomic.from_rational(1)
+ZERO = _rational(0, 1)
+ONE = _rational(1, 1)
 
 
 def E(m: int, k: int = 1) -> Cyclotomic:
@@ -513,8 +657,7 @@ class Reduction:
         den = 1
         for x in values:
             m = math.lcm(m, x.order)
-            for c in x.coeffs.values():
-                den = math.lcm(den, c.denominator)
+            den = math.lcm(den, x.den)
         p = _split_prime(m, den)
         zeta = _root_of_unity_mod(p, m)
         powers = [1]
@@ -533,16 +676,18 @@ class Reduction:
                 f"{self.order}"
             )
         p = self.p
+        den = x.den
+        if den % p == 0:
+            raise InternalConsistencyError(
+                f"denominator {den} is not invertible mod {p}"
+            )
         step = self.order // x.order
+        powers = self._powers
         acc = 0
-        for e, c in x.coeffs.items():
-            den = c.denominator
-            if den % p == 0:
-                raise InternalConsistencyError(
-                    f"denominator {den} is not invertible mod {p}"
-                )
-            term = c.numerator * self._powers[e * step]
-            acc += term if den == 1 else term * pow(den, -1, p)
+        for e, c in x.nums.items():
+            acc += c * powers[e * step]
+        if den != 1:
+            acc *= pow(den, -1, p)
         return acc % p
 
     def poly(self, f) -> dict:

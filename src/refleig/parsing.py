@@ -15,6 +15,10 @@ from .polynomials import Poly
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]\w*|\*|\+|-|/|\^|\(|\)|,)")
 
+# Each parenthesis level costs five frames of the recursive descent; refuse
+# deeper input with a parse error instead of meeting Python's recursion limit.
+MAX_NESTING = 100
+
 
 def _tokenize(text):
     tokens = []
@@ -39,6 +43,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nvars = nvars
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -122,8 +127,14 @@ class _Parser:
     def atom(self):
         tok, at = self.next()
         if tok == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", at
+                )
+            self.depth += 1
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         if tok is None:
             raise ParseError("unexpected end of input", at)

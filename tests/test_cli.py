@@ -1,13 +1,18 @@
 """End-to-end CLI tests: frozen outputs, exit codes, rendering contracts."""
 
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refleig import __version__, report
 from refleig.cli import main
+from refleig.parsing import MAX_NESTING
 from refleig.report import MIN_PRECISION, NON_GENERIC_STATUS, PipelineConfig
 
 TOP_LEVEL_ORDER = [
@@ -147,6 +152,20 @@ def test_bad_weight_is_a_usage_error(capsys, weight, message):
     assert code == 2
     assert not out
     assert err.startswith("error: ") and message in err
+
+
+def test_deep_nesting_is_a_usage_error(capsys):
+    ok = "(" * MAX_NESTING + "i" + ")" * MAX_NESTING
+    code, _, _ = run_cli(
+        capsys, "eigenspace", "--builtin", "trivial:1", "--weight", ok
+    )
+    assert code == 0
+    code, out, err = run_cli(
+        capsys, "eigenspace", "--builtin", "trivial:1", "--weight", f"({ok})"
+    )
+    assert code == 2
+    assert not out
+    assert err.startswith("error: ") and "nested deeper" in err
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
@@ -350,6 +369,18 @@ def test_argparse_failures_exit_two():
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "option", ["--weight=--", "--builtin=--", "--precision=--", "--seed=--"]
+)
+def test_double_dash_value_is_a_usage_error(option):
+    argv = ["eigenspace", "--weight=i, i", option]
+    if not option.startswith("--builtin"):
+        argv.append("--builtin=dihedral:3")
+    code, err = _exit_code(argv)
+    assert code == 2
+    assert err.strip()
+
+
 def test_pipeline_config_rejects_unsafe_values():
     # the library boundary needs the same floor as the CLI: at 8 bits
     # verify_all reported thm-4.14 and thm-3.10 as fail on dihedral:3
@@ -379,3 +410,74 @@ def test_module_entry_point():
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["molien"]["coefficients"] == [1, 0, 1, 1, 1, 1, 2]
+
+
+# -- boundary fuzz ------------------------------------------------------------
+#
+# Malformed weight texts and builtin specs must end in exit 0, 1 or 2 with a
+# message, never an exception out of `main`.  Numerals stay short so that no
+# generated weight is an astronomically large exact number, and every spec
+# that parses names a group of rank at most 3: nothing bounds the size of a
+# builtin group yet.
+
+_WEIGHT_TOKENS = (
+    "i", "E(", "E", "(", ")", "^", "^-", "-", "+", "*", "/", ",", " ", "\t",
+    "0", "1", "2", "3", "7", "x1", "x", "y", ".", "é", "E(0)", "E(-3)",
+    "E(8)", "1/0", "0^-1", "(((", ")))", "i/3",
+)
+_weight_soup = st.lists(st.sampled_from(_WEIGHT_TOKENS), max_size=8).map("".join)
+# shallow nesting comes from the token soup; this reaches past the depth at
+# which a recursive-descent parser meets the recursion limit, which hypothesis
+# raises while a test runs
+_deep_nesting = st.integers(min_value=50, max_value=3000).map(
+    lambda k: "(" * k + "i" + ")" * k
+)
+_weights = st.one_of(_weight_soup, _deep_nesting).filter(
+    lambda t: not re.search(r"\d{3}", t)
+)
+
+_SPEC_FAMILIES = (
+    "dihedral", "symmetric", "hyperoctahedral", "cyclic", "trivial",
+    "", "Dihedral", "dihedral ", "foo", "E(4)", ":",
+)
+_SPEC_SEPARATORS = (":", "", "::", " : ", "=", ",")
+_SPEC_ARGUMENTS = (
+    "", "-1", "0", "1", "2", "3", "+3", " 2", "x", "3.5", "1e3", "0x3",
+    "3:4", "٣", "nan", "-", "0_3",
+)
+_specs = st.one_of(
+    st.tuples(
+        st.sampled_from(_SPEC_FAMILIES),
+        st.sampled_from(_SPEC_SEPARATORS),
+        st.sampled_from(_SPEC_ARGUMENTS),
+    ).map("".join),
+    st.text(alphabet=st.characters(blacklist_categories=("Nd", "Cs")), max_size=12),
+)
+
+
+def _exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["trivial:1", "dihedral:3"]), _weights)
+def test_fuzz_weight_texts_exit_cleanly(group, text):
+    code, err = _exit_code(["eigenspace", f"--builtin={group}", f"--weight={text}"])
+    assert code in (0, 1, 2)
+    if code:
+        assert err.strip()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_specs)
+def test_fuzz_builtin_specs_exit_cleanly(spec):
+    code, err = _exit_code(["info", f"--builtin={spec}"])
+    assert code in (0, 2)
+    if code:
+        assert err.strip()

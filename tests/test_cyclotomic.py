@@ -4,7 +4,9 @@ Numeric reference values were frozen from mpmath evaluations at 60 digits;
 structural identities are classical root-of-unity facts checked by hand.
 """
 
+import functools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -21,6 +23,7 @@ from refleig.cyclotomic import (
     ZERO,
     cyc,
     _int_poly_div_exact,
+    _poly_modinv,
     _reduce,
     cyclotomic_polynomial,
     embed_complex,
@@ -310,3 +313,201 @@ def test_reduction_prime_avoids_the_denominators():
         red.scalar(E(3))
     with pytest.raises(InternalConsistencyError):
         red.scalar(cyc(Fraction(1, red.p)))
+
+
+# -- rational values hash like the numbers they equal --------------------------
+
+
+def test_rational_values_hash_like_the_numbers_they_equal():
+    table = {ONE: "one", cyc(Fraction(1, 2)): "half", Fraction(-3, 7): "q", 5: "five"}
+    assert table.get(1) == "one"
+    assert table.get(Fraction(1)) == "one"
+    assert table.get(Fraction(1, 2)) == "half"
+    assert table.get(cyc(Fraction(-3, 7))) == "q"
+    assert table.get(cyc(5)) == "five"
+    assert table.get(E(3) + E(3) ** 2 + 6) == "five"
+    assert {ZERO: "zero"}.get(0) == "zero"
+    for q in (0, 1, -1, 7, Fraction(1, 2), Fraction(-22, 7), 2**80):
+        assert hash(cyc(q)) == hash(q) == hash(Fraction(q))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, complex(0.5, 0), "1", Decimal("0.5"), None])
+def test_constructor_rejects_inexact_coefficients(bad):
+    with pytest.raises(TypeError):
+        Cyclotomic(4, {0: bad, 1: 1})
+
+
+# -- reference kernel -----------------------------------------------------------
+#
+# The Fraction kernel that the integer one replaced, kept as the reference: the
+# same closed-form descent, with every coordinate a Fraction.  A reference
+# value is (order, {exponent: Fraction}) in canonical form.
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_power(m, e):
+    """x^e mod Phi_m as a dense tuple of length phi(m)."""
+    phi = euler_phi(m)
+    if e < phi:
+        return tuple(1 if i == e else 0 for i in range(phi))
+    prev = _ref_power(m, e - 1)
+    top = prev[-1]
+    shifted = (0,) + prev[:-1]
+    phi_m = cyclotomic_polynomial(m)
+    return tuple(s - top * c for s, c in zip(shifted, phi_m))
+
+
+def _ref_reduce(m, terms):
+    vec = [Fraction(0)] * euler_phi(m)
+    for e, c in terms.items():
+        if c:
+            for i, r in enumerate(_ref_power(m, e % m)):
+                if r:
+                    vec[i] += c * r
+    return vec
+
+
+def _ref_descend(m, p, vec):
+    sub = m // p
+    if sub % p == 0:
+        if any(c for j, c in enumerate(vec) if j % p):
+            return None
+        return vec[::p]
+    inv_p = pow(p, -1, sub)
+    inv_sub = pow(sub, -1, p)
+    parts = [{} for _ in range(p)]
+    for j, c in enumerate(vec):
+        if c:
+            parts[j * inv_sub % p][j * inv_p % sub] = c
+    cs = [_ref_reduce(sub, t) for t in parts]
+    last = cs[-1]
+    if any(c != last for c in cs[1:-1]):
+        return None
+    return [a - b for a, b in zip(cs[0], last)]
+
+
+def _ref_canonicalize(m, vec):
+    while m > 1:
+        primes = [p for p in range(2, m + 1) if m % p == 0 and all(p % q for q in range(2, p))]
+        for p in primes:
+            sub = _ref_descend(m, p, vec)
+            if sub is not None:
+                m //= p
+                vec = sub
+                break
+        else:
+            break
+    return m, vec
+
+
+def _ref_value(m, terms):
+    m, vec = _ref_canonicalize(m, _ref_reduce(m, terms))
+    return m, {i: c for i, c in enumerate(vec) if c}
+
+
+def _ref_promoted(a, m):
+    step = m // a[0]
+    return {i * step: c for i, c in a[1].items()}
+
+
+def _ref_add(a, b):
+    m = math.lcm(a[0], b[0])
+    out = _ref_promoted(a, m)
+    for e, c in _ref_promoted(b, m).items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return _ref_value(m, out)
+
+
+def _ref_neg(a):
+    return a[0], {i: -c for i, c in a[1].items()}
+
+
+def _ref_mul(a, b):
+    m = math.lcm(a[0], b[0])
+    prod = {}
+    for ea, ca in _ref_promoted(a, m).items():
+        for eb, cb in _ref_promoted(b, m).items():
+            e = (ea + eb) % m
+            prod[e] = prod.get(e, Fraction(0)) + ca * cb
+    return _ref_value(m, prod)
+
+
+def _ref_conj(a):
+    return _ref_value(a[0], {-i: c for i, c in a[1].items()})
+
+
+def _ref_inverse(a):
+    m, coeffs = a
+    if m == 1:
+        return 1, {0: 1 / coeffs[0]}
+    phi = euler_phi(m)
+    inv = _poly_modinv(
+        [coeffs.get(i, Fraction(0)) for i in range(phi)],
+        [Fraction(c) for c in cyclotomic_polynomial(m)],
+    )
+    return _ref_value(m, dict(enumerate(inv)))
+
+
+def _ref_hash(a):
+    m, coeffs = a
+    if m == 1:
+        return hash(coeffs.get(0, Fraction(0)))
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return hash((m, den, frozenset((i, int(c * den)) for i, c in coeffs.items())))
+
+
+def _ref_embed(a, precision):
+    m, coeffs = a
+    with mpmath.workprec(precision + 10):
+        acc = mpmath.mpc(0)
+        for i, c in coeffs.items():
+            root = mpmath.expjpi(mpmath.mpf(2 * i) / m)
+            acc += root * mpmath.mpf(c.numerator) / c.denominator
+        return +acc
+
+
+def _canonical(x):
+    return x.order, x.coeffs
+
+
+_KERNEL_ORDERS = (1, 4, 7, 20, 28, 60, 84)
+_kernel_fractions = st.builds(
+    Fraction, st.integers(min_value=-60, max_value=60), st.integers(1, 99)
+)
+
+
+@st.composite
+def kernel_terms(draw):
+    m = draw(st.sampled_from(_KERNEL_ORDERS))
+    terms = draw(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=m - 1), _kernel_fractions, max_size=4
+        )
+    )
+    return m, terms
+
+
+@settings(max_examples=120, deadline=None)
+@given(kernel_terms(), kernel_terms())
+def test_integer_kernel_matches_the_fraction_reference(ta, tb):
+    a, b = Cyclotomic(*ta), Cyclotomic(*tb)
+    ra, rb = _ref_value(*ta), _ref_value(*tb)
+    assert _canonical(a) == ra
+    assert _canonical(b) == rb
+    for x, rx in ((a, ra), (b, rb)):
+        assert math.gcd(x.den, *x.nums.values()) == 1 and x.den > 0
+        assert 0 not in x.nums.values()
+        assert hash(x) == _ref_hash(rx)
+        assert _canonical(-x) == _ref_neg(rx)
+        assert _canonical(x.conj()) == _ref_conj(rx)
+        assert x.embed(128) == _ref_embed(rx, 128)
+        if x:
+            assert _canonical(x.inverse()) == _ref_inverse(rx)
+    for value, ref in (
+        (a + b, _ref_add(ra, rb)),
+        (a - b, _ref_add(ra, _ref_neg(rb))),
+        (a * b, _ref_mul(ra, rb)),
+    ):
+        assert _canonical(value) == ref
+        assert hash(value) == _ref_hash(ref)
+        assert value.embed(128) == _ref_embed(ref, 128)

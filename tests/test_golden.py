@@ -32,6 +32,12 @@ CASES = (
         ["eigenspace", "--builtin", "dihedral:5",
          "--weight", "i*1, i*3", "--weight", "E(5)-E(5)^4, 0"],
     ),
+    (
+        "eigenspace-dihedral-7.json",
+        0,
+        ["eigenspace", "--builtin", "dihedral:7",
+         "--weight", "i/3, (E(7)-E(7)^6)/5"],
+    ),
 )
 
 
