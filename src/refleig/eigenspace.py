@@ -23,12 +23,15 @@ elimination over the cyclotomic field.  The commutant is computed twice,
 numerically at high precision and exactly from the orbit block structure,
 and both must agree.
 
-The dual-orbit test of Theorem 3.10 is the independent numeric route: the
-rows pi^c(g) u* of the K-fixed functional over the sample elements, embedded
-at the working precision p, form a matrix A that passes when every singular
-value exceeds t = 2^(-(p // 2)).  That holds exactly when A^H A - t^2 I is
-positive definite, which is decided by an LDL^T factorization of the exact
-integer Gram matrix of the fixed-point rows in real form, with no SVD.
+Both numeric routes work in integer fixed point at scale 2^(p + 10) for the
+working precision p, and both threshold at t = 2^(-(p // 2)).  One helper,
+`_phases`, embeds each e^s they need once.  The dual-orbit test of
+Theorem 3.10 is the independent numeric route: the rows pi^c(g) u* of the
+K-fixed functional over the samples (j y, k), j = 0, 1, ..., form a
+Vandermonde matrix A, each row the row before times the phase row read from
+`model_act`.  A passes when every singular value exceeds t, that is, when
+A^H A - t^2 I is positive definite; this is decided by an LDL^H
+factorization of the exact Gaussian-integer Gram matrix, with no SVD.
 """
 
 from dataclasses import dataclass
@@ -374,33 +377,35 @@ def invariant_eigenvalues(invariants, w: Weight):
 # -- numeric helpers -------------------------------------------------------------
 
 
-def _numerically_full_rank(rows, precision: int) -> bool:
-    """Whether every singular value of the matrix exceeds t = 2^(-(precision // 2)).
+def _phases(exponents, precision: int):
+    """e^s for exact purely imaginary s, as integer pairs (re, im) at scale 2^P.
 
-    sigma_min(A) > t exactly when A^H A - t^2 I is positive definite.  The
-    real form R = [[X, -Y], [Y, X]] of A = X + iY has the singular values of
-    A, each twice, so `linalg.gram_positive_definite` decides this for
-    R^T R - t^2 I; no singular value is computed.  Each row of `rows`, any
-    iterable, is truncated to integers at scale 2^P, P = precision + 10, as
-    it arrives.  That moves sigma_min by at most sqrt(2 r n) * 2^(-P) for r
-    rows of n entries, and each fixed-point step at scale 2^(2P) errs by
-    2^(-2P): both far below t and t^2.
+    P = precision + 10.  Each distinct exponent is embedded once, with four
+    more bits than its integer part has, so the angle reaching cos and sin
+    is within about 2^(-P-4) and e^s lands within a few units of 2^(-P)
+    however large |s| is.
     """
     bits = precision + 10
-    re_rows = []
-    im_rows = []
-    for row in rows:
-        # `ldexp` and `int` shift the mantissa exactly, whatever working
-        # precision is in force
-        re_rows.append([int(mpmath.ldexp(x.real, bits)) for x in row])
-        im_rows.append([int(mpmath.ldexp(x.imag, bits)) for x in row])
-    t_sq = 1 << (2 * bits - 2 * (precision // 2))
-    # the columns of R
-    xs = list(zip(*re_rows))
-    ys = list(zip(*im_rows))
-    cols = [x + y for x, y in zip(xs, ys)]
-    cols += [tuple(-v for v in y) + x for x, y in zip(xs, ys)]
-    return linalg.gram_positive_definite(cols, t_sq, 2 * bits)
+    seen = {}
+    out = []
+    for s in exponents:
+        z = seen.get(s)
+        if z is None:
+            extra = (sum(map(abs, s.nums.values())) // s.den).bit_length() + 4
+            with mpmath.workprec(bits + extra):
+                c, si = mpmath.cos_sin(s.embed(bits + extra).imag)
+            # `ldexp` and `int` shift the mantissa exactly
+            z = seen[s] = (int(mpmath.ldexp(c, bits)), int(mpmath.ldexp(si, bits)))
+        out.append(z)
+    return out
+
+
+def _action_phases(m: InducedModel, g: GroupElement, precision: int):
+    """The entries e^s of pi(g) u*, read from `model_act`, through `_phases`."""
+    entries = model_act(m, g, m.fixed_vector())
+    if any(len(e.terms) != 1 or ONE not in e.terms.values() for e in entries):
+        raise InternalConsistencyError("pi(g) u* must have one unit phase per entry")
+    return _phases([next(iter(e.terms)) for e in entries], precision)
 
 
 _SEPARATION_DOUBLINGS = 4
@@ -441,28 +446,64 @@ def dual_sample_elements(m: InducedModel, rng=None, bound: int = 9, max_tries: i
 def dual_cyclic_check(m: InducedModel, samples, precision: int = 128) -> bool:
     """Numeric test that the dual orbit of the fixed functional spans.
 
-    Each sample g contributes the coordinate row of the dual vector
-    pi^c(g) u* in the dual basis, embedded at `precision` bits.  The check
-    passes when every singular value of the row matrix A exceeds
-    t = 2^(-(precision // 2)), that is, when A^H A - t^2 I is positive
-    definite; this is decided by an LDL^T factorization of the exact integer
-    Gram matrix of the fixed-point rows in real form, with no SVD.
+    The samples must be g_j = (j y, k_j) for j = 0, 1, ..., r - 1 with
+    r >= |K|, the powers of one translation that `dual_sample_elements`
+    draws.  Each sample contributes the coordinate row of the dual vector
+    pi^c(g_j) u* in the dual basis (`_dual_rows`).  The check passes when
+    every singular value of the row matrix A exceeds t = 2^(-(precision // 2)),
+    that is, when A^H A - t^2 I is positive definite; this is decided by an
+    LDL^H factorization of the exact Gaussian-integer Gram matrix of the
+    fixed-point rows, with no SVD.
     """
     if len(samples) < m.dimension:
         raise InsufficientSamplesError(
             f"need at least {m.dimension} samples, got {len(samples)}"
         )
-    return _numerically_full_rank(_dual_rows(m, samples, precision), precision)
+    y = samples[min(1, len(samples) - 1)].translation
+    if any(g.translation != tuple(j * t for t in y) for j, g in enumerate(samples)):
+        raise ValueError("dual samples must be (j y, k) for j = 0, 1, ..., r - 1")
+    bits = precision + 10
+    xs, ys = _dual_rows(m, samples, precision)
+    t_sq = 1 << (2 * (bits - precision // 2))
+    return linalg.gram_positive_definite(xs, ys, t_sq, 2 * bits)
 
 
 def _dual_rows(m: InducedModel, samples, precision: int):
-    """Coordinate rows of pi^c(g) u* in the dual basis, embedded at `precision`
-    bits, generated one sample at a time."""
-    u = m.fixed_vector()
-    for g in samples:
-        with mpmath.workprec(precision + 10):
-            row = [mpmath.conj(entry.embed(precision)) for entry in model_act(m, g, u)]
-        yield row
+    """The rows pi^c(g_j) u* at scale 2^P, P = precision + 10, by columns.
+
+    Returns the real and the imaginary integer parts of each column of A.
+    Entry h of row j is conj(z_h)^j, where z_h = e^(-<mu_h, y>) is read from
+    `model_act` at g_1 and embedded once by `_phases`.  Row j is the row
+    before times that phase row, one Gaussian-integer product per entry.
+
+    Error budget: z_h is within about 2 units of 2^(-P), and each product
+    carries the error before it and adds a rounding of at most 2 units, so
+    every entry of r rows is within about (2r + 2) * 2^(-P).  At |K| = 384
+    and precision 128 that is below 2^(-110), far below t = 2^(-64).  The
+    last row is compared with `model_act` at g_(r-1), embedded directly;
+    a difference above t / 2^8 is an internal error.
+    """
+    bits = precision + 10
+    r = len(samples)
+    xs, ys = [], []
+    for a, b in _action_phases(m, samples[min(1, r - 1)], precision):
+        # multiply by conj(z) = a - ib
+        x, y = 1 << bits, 0
+        col_x, col_y = [x], [y]
+        for _ in range(r - 1):
+            x, y = (x * a + y * b) >> bits, (y * a - x * b) >> bits
+            col_x.append(x)
+            col_y.append(y)
+        xs.append(col_x)
+        ys.append(col_y)
+    tol = 1 << (bits - precision // 2 - 8)
+    last = _action_phases(m, samples[-1], precision)
+    for (a, b), x, y in zip(last, xs, ys):
+        if abs(a - x[-1]) > tol or abs(b + y[-1]) > tol:
+            raise InternalConsistencyError(
+                "dual row powers disagree with model_act"
+            )
+    return xs, ys
 
 
 # -- evaluation matrix ------------------------------------------------------------
@@ -567,8 +608,9 @@ def commutant_dimension(m: InducedModel, sample_translations, precision: int = 1
       exact commutant is the convolution algebra A[h, h'] = a(h^-1 h');
       imposing the translation constraints on a gives a linear system with
       one nonzero coefficient per row, whose columns are orthogonal.  Its
-      numeric nullspace (singular values = column norms, thresholded at
-      2^(-precision/2)) is computed at `precision` bits.
+      numeric nullspace counts the columns whose norm is below
+      2^(-precision/2), each squared norm an exact integer sum of the
+      fixed-point phase differences from `_phases`.
 
     * exact: the translation action is diagonal over the orbit exponents, so
       the commutant is supported on orbit-duplicate blocks; intersecting with
@@ -586,27 +628,25 @@ def commutant_dimension(m: InducedModel, sample_translations, precision: int = 1
         for g in range(group.order)
     )
 
-    # numeric path at the requested precision
-    threshold = mpmath.mpf(2) ** (-(precision // 2))
-    with mpmath.workprec(precision + 10):
-        diag = []
-        for t in sample_translations:
-            x = [cyc(v) for v in t]
-            diag.append(
-                [
-                    mpmath.exp(-(linalg.dot(mu, x).embed(precision)))
-                    for mu in m.orbit.points
-                ]
-            )
-        numeric_dim = 0
-        for g in range(group.order):
-            norm_sq = mpmath.mpf(0)
-            for drow in diag:
-                for h in range(group.order):
-                    d = drow[h] - drow[table[h][g]]
-                    norm_sq += (d.real * d.real + d.imag * d.imag)
-            if mpmath.sqrt(norm_sq) < threshold:
-                numeric_dim += 1
+    # numeric path at the requested precision: per orbit element h, the
+    # phases e^(-<mu_h, x>) of every sample translation x in fixed point
+    bits = precision + 10
+    t_sq = 1 << (2 * (bits - precision // 2))
+    per_x = []
+    for t in sample_translations:
+        x = [cyc(v) for v in t]
+        per_x.append(_phases([-linalg.dot(mu, x) for mu in m.orbit.points], precision))
+    phase = [[v for z in zs for v in z] for zs in zip(*per_x)]
+    numeric_dim = 0
+    for g in range(group.order):
+        # an exact integer that only grows: it stops once it reaches t^2
+        norm_sq = 0
+        for h in range(group.order):
+            norm_sq += sum((a - b) ** 2 for a, b in zip(phase[h], phase[table[h][g]]))
+            if norm_sq >= t_sq:
+                break
+        else:
+            numeric_dim += 1
 
     if numeric_dim != exact_dim:
         raise InternalConsistencyError(

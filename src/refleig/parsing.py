@@ -6,6 +6,7 @@ add variables `x1 .. xn`.  `format_scalar` and `format_poly` emit canonical
 text that parses back to an equal value.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -18,6 +19,11 @@ _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]\w*|\*|\+|-|/|\^|\(|\)|,)")
 # Each parenthesis level costs five frames of the recursive descent; refuse
 # deeper input with a parse error instead of meeting Python's recursion limit.
 MAX_NESTING = 100
+
+# A power whose result may exceed this many bits is refused before it is
+# computed: a few characters such as `3^10000000` would otherwise take many
+# seconds and, nested, any amount of memory.
+MAX_POWER_BITS = 1 << 16
 
 
 def _tokenize(text):
@@ -110,7 +116,18 @@ class _Parser:
                 c = base.constant_value()
                 if not c:
                     raise ParseError("negative power of zero", at)
-                return Poly.constant(self.nvars, c ** k)
+                base, k = Poly.constant(self.nvars, c.inverse()), -k
+            # with D the product of the base's denominators and N the l1 norm
+            # of its numerators, every coefficient of base^k is some n / d
+            # with |n| <= N^k and d | D^k: k log2(N D) bounds the bits
+            numer, denom = 0, 1
+            for c in base.terms.values():
+                numer += sum(map(abs, c.nums.values()))
+                denom *= c.den
+            if numer and k * math.log2(numer * denom) > MAX_POWER_BITS:
+                raise ParseError(
+                    f"power result would exceed {MAX_POWER_BITS} bits", at
+                )
             return base ** k
         return base
 

@@ -14,6 +14,9 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
+
+import mpmath
 
 from . import __version__
 from .eigenspace import (
@@ -176,15 +179,31 @@ def _equivariance_battery(m: InducedModel, rng, trials) -> bool:
     return True
 
 
+def _commutant_translations(m: InducedModel):
+    """The translations 2^(-k) e_i, with 2^k the least power of two at least
+    2 max_h |mu_h[i]| as read from a 53-bit embedding.
+
+    Every nonzero difference of pairings <mu_h - mu_h', x> then lies in
+    (0, 1], where the phases it compares stay far apart compared with the
+    numeric threshold, whatever the scale of the weight.
+    """
+    out = []
+    for i in range(m.group.dimension):
+        top = max(abs(x.embed()) for x in {pt[i] for pt in m.orbit.points})
+        mant, k = mpmath.frexp(2 * top)
+        if mant == 0.5:
+            k -= 1
+        out.append(tuple(Fraction(2) ** -k if j == i else 0 for j in range(m.group.dimension)))
+    return out
+
+
 def eigenspace_section(group, invariants, harmonics, w: Weight, config: PipelineConfig, rng) -> dict:
     m = InducedModel.build(w)
     generic = m.orbit.distinct_count == group.order
     rank = evaluation_rank(m, harmonics)
-    basis = [
-        tuple(1 if j == i else 0 for j in range(group.dimension))
-        for i in range(group.dimension)
-    ]
-    commutant = commutant_dimension(m, basis, precision=config.precision)
+    commutant = commutant_dimension(
+        m, _commutant_translations(m), precision=config.precision
+    )
     orbit_wave = intertwiner(m, m.fixed_vector())
     eigen_ok = eigen_check(orbit_wave, invariants, w)
     equivariance_ok = _equivariance_battery(m, rng, config.equivariance_trials)

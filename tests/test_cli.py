@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from refleig import __version__, report
 from refleig.cli import main
-from refleig.parsing import MAX_NESTING
+from refleig.parsing import MAX_NESTING, MAX_POWER_BITS
 from refleig.report import MIN_PRECISION, NON_GENERIC_STATUS, PipelineConfig
 
 TOP_LEVEL_ORDER = [
@@ -131,6 +131,21 @@ def test_eigenspace_weight_denominator_built_from_split_primes(capsys):
     assert section["status"] == "certified"
 
 
+def test_eigenspace_commutant_twin_at_a_tiny_weight(capsys):
+    # the commutant's sample translations scale with the orbit, so pairing
+    # differences of order 10^-24 still separate the numeric twin from t
+    code, rep, _ = run_json(
+        capsys,
+        "eigenspace", "--builtin", "dihedral:4",
+        "--weight", "i/10^24, 2*i/10^24",
+    )
+    assert code == 0
+    (section,) = rep["eigenspace"]
+    assert section["generic"] is True
+    assert section["evaluation_rank"] == 8
+    assert section["commutant_dim"] == 1
+
+
 def test_eigenspace_requires_weight(capsys):
     code, out, err = run_cli(capsys, "eigenspace", "--builtin", "dihedral:4")
     assert code == 2
@@ -166,6 +181,22 @@ def test_deep_nesting_is_a_usage_error(capsys):
     assert code == 2
     assert not out
     assert err.startswith("error: ") and "nested deeper" in err
+
+
+@pytest.mark.parametrize(
+    "weight", ["i*3^10000000", "((3^4096)^4096)^4096", "i*(1+i)^-70000"]
+)
+def test_power_past_the_size_bound_is_a_usage_error(capsys, weight):
+    code, _, _ = run_cli(
+        capsys, "eigenspace", "--builtin", "trivial:1", "--weight", "i*3^40"
+    )
+    assert code == 0
+    code, out, err = run_cli(
+        capsys, "eigenspace", "--builtin", "trivial:1", "--weight", weight
+    )
+    assert code == 2
+    assert not out
+    assert err.startswith("error: ") and f"{MAX_POWER_BITS} bits" in err
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
@@ -415,10 +446,10 @@ def test_module_entry_point():
 # -- boundary fuzz ------------------------------------------------------------
 #
 # Malformed weight texts and builtin specs must end in exit 0, 1 or 2 with a
-# message, never an exception out of `main`.  Numerals stay short so that no
-# generated weight is an astronomically large exact number, and every spec
-# that parses names a group of rank at most 3: nothing bounds the size of a
-# builtin group yet.
+# message, never an exception out of `main`.  Numerals in the token soup stay
+# short; large numbers come only as exponents past `MAX_POWER_BITS`, which the
+# parser refuses before computing them.  Every spec that parses names a group
+# of rank at most 3: nothing bounds the size of a builtin group yet.
 
 _WEIGHT_TOKENS = (
     "i", "E(", "E", "(", ")", "^", "^-", "-", "+", "*", "/", ",", " ", "\t",
@@ -432,8 +463,16 @@ _weight_soup = st.lists(st.sampled_from(_WEIGHT_TOKENS), max_size=8).map("".join
 _deep_nesting = st.integers(min_value=50, max_value=3000).map(
     lambda k: "(" * k + "i" + ")" * k
 )
-_weights = st.one_of(_weight_soup, _deep_nesting).filter(
-    lambda t: not re.search(r"\d{3}", t)
+_huge_powers = st.tuples(
+    st.sampled_from(("3", "i*3", "(1+i)", "(2/3)", "(3^4096)", "(E(8)+1)")),
+    st.sampled_from(("", "-")),
+    st.integers(min_value=MAX_POWER_BITS + 1, max_value=10**30),
+).map(lambda t: f"{t[0]}^{t[1]}{t[2]}")
+_weights = st.one_of(
+    st.one_of(_weight_soup, _deep_nesting).filter(
+        lambda t: not re.search(r"\d{3}", t)
+    ),
+    _huge_powers,
 )
 
 _SPEC_FAMILIES = (
@@ -472,6 +511,14 @@ def test_fuzz_weight_texts_exit_cleanly(group, text):
     assert code in (0, 1, 2)
     if code:
         assert err.strip()
+
+
+@settings(max_examples=30, deadline=None)
+@given(_huge_powers)
+def test_fuzz_powers_past_the_bound_are_refused(text):
+    code, err = _exit_code(["eigenspace", "--builtin=trivial:1", f"--weight=i*{text}"])
+    assert code == 2
+    assert "bits" in err
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,7 @@ it assembles the full A*pi(g) - pi(g)*A constraint system over the model
 space and counts the numeric nullspace dimension, with no shared helpers.
 """
 
+import cmath
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from refleig import linalg
 from refleig.cyclotomic import E, ONE, Reduction, ZERO, cyc, prime_factors
 from refleig.errors import (
     InsufficientSamplesError,
+    InternalConsistencyError,
     SampleSpanError,
 )
 from refleig.eigenspace import (
@@ -43,7 +45,6 @@ from refleig.eigenspace import (
     stabilizer_order,
     zero_weight,
 )
-from refleig.eigenspace import _dual_rows, _numerically_full_rank
 from refleig.groups import GroupElement, builtin, g_multiply
 
 I = E(4)
@@ -368,6 +369,49 @@ def test_dual_cyclic_rejects_small_or_redundant_samples():
         dual_cyclic_check(m, samples[:-1])
     stuck = [GroupElement(group, (ZERO, ZERO), 0)] * group.order
     assert not dual_cyclic_check(m, stuck)
+    # only the powers (j y, k) of one translation are accepted
+    for bad in (
+        samples[:2] + samples[3:] + samples[2:3],
+        [random_element(group, random.Random(3)) for _ in range(group.order)],
+    ):
+        with pytest.raises(ValueError):
+            dual_cyclic_check(m, bad)
+
+
+def test_corrupted_phase_is_an_internal_error(monkeypatch):
+    # the powered rows are checked against model_act at the last sample
+    from refleig import eigenspace
+
+    group = builtin("dihedral:3")
+    m = InducedModel.build(imag_weight(group, (1, 2)))
+    samples = dual_sample_elements(m)
+    assert dual_cyclic_check(m, samples)
+    phases = eigenspace._phases
+    calls = []
+
+    def corrupt_first_row(exponents, precision):
+        out = phases(exponents, precision)
+        if not calls:
+            # move one phase by 2^-30, far above t / 2^8 = 2^-72
+            a, b = out[0]
+            out[0] = (a + (1 << (precision + 10 - 30)), b)
+        calls.append(precision)
+        return out
+
+    monkeypatch.setattr(eigenspace, "_phases", corrupt_first_row)
+    with pytest.raises(InternalConsistencyError):
+        dual_cyclic_check(m, samples)
+
+
+def reference_dual_rows(m, samples, precision=128):
+    """Rows pi^c(g) u*, each entry embedded on its own from `model_act`:
+    nothing is shared with the library's powers of one phase row."""
+    u = m.fixed_vector()
+    with mpmath.workprec(precision + 10):
+        return [
+            [mpmath.conj(entry.embed(precision)) for entry in model_act(m, g, u)]
+            for g in samples
+        ]
 
 
 def svd_full_rank(rows, precision):
@@ -392,7 +436,7 @@ def test_dual_criterion_matches_the_svd_reference(spec):
         m = InducedModel.build(w)
         samples = dual_sample_elements(m, rng)
         verdict = dual_cyclic_check(m, samples)
-        assert verdict == svd_full_rank(list(_dual_rows(m, samples, 128)), 128)
+        assert verdict == svd_full_rank(reference_dual_rows(m, samples), 128)
         assert verdict == is_generic(w)
 
 
@@ -405,6 +449,29 @@ def random_unitary(n, rng):
         )
         u = u * (mpmath.eye(n) - (2 / (v.H * v)[0]) * (v * v.H))
     return u
+
+
+def real_form_positive_definite(xs, ys, shift, frac_bits):
+    """Reference for `linalg.gram_positive_definite`: an LDL^T of the real form.
+
+    The real form R = [[X, -Y], [Y, X]] of C = X + iY has the singular
+    values of C, each twice, so R^T R - shift * I is positive definite
+    exactly when C^H C - shift * I is.  Same fixed point as the library.
+    """
+    cols = [x + y for x, y in zip(xs, ys)]
+    cols += [[-v for v in y] + x for x, y in zip(xs, ys)]
+    n = len(cols)
+    g = [[sum(a * b for a, b in zip(cols[i], cols[k])) for k in range(i + 1)] for i in range(n)]
+    for j in range(n):
+        d = g[j][j] - shift
+        if d <= 0:
+            return False
+        for i in range(j + 1, n):
+            row = g[i]
+            l = (row[j] << frac_bits) // d
+            for k in range(j + 1, i + 1):
+                row[k] -= (l * g[k][j]) >> frac_bits
+    return True
 
 
 @pytest.mark.parametrize("precision", [64, 128])
@@ -426,8 +493,55 @@ def test_full_rank_criterion_at_the_threshold(precision, shape, side):
             diag[k, k] = s
         a = random_unitary(nrows, rng) * diag * random_unitary(ncols, rng)
         rows = [[a[i, j] for j in range(ncols)] for i in range(nrows)]
-    assert _numerically_full_rank(rows, precision) == (side > 0)
+    # the fixed point of `dual_cyclic_check`: scale 2^P, P = precision + 10
+    bits = precision + 10
+    cols = list(zip(*rows))
+    xs = [[int(mpmath.ldexp(v.real, bits)) for v in col] for col in cols]
+    ys = [[int(mpmath.ldexp(v.imag, bits)) for v in col] for col in cols]
+    t_sq = 1 << (2 * (bits - precision // 2))
+    assert linalg.gram_positive_definite(xs, ys, t_sq, 2 * bits) == (side > 0)
+    assert real_form_positive_definite(xs, ys, t_sq, 2 * bits) == (side > 0)
     assert svd_full_rank(rows, precision) == (side > 0)
+
+
+_gaussian = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def gaussian_products(draw):
+    """L R for small Gaussian-integer L (rows x inner) and R (inner x cols):
+    rank-deficient whenever inner < cols."""
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, 4))
+    inner = draw(st.integers(1, ncols))
+    left = draw(st.lists(st.lists(_gaussian, min_size=inner, max_size=inner), min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(_gaussian, min_size=ncols, max_size=ncols), min_size=inner, max_size=inner))
+    return [
+        [
+            (
+                sum(a * c - b * d for (a, b), (c, d) in zip(row, col)),
+                sum(a * d + b * c for (a, b), (c, d) in zip(row, col)),
+            )
+            for col in zip(*right)
+        ]
+        for row in left
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(gaussian_products())
+def test_hermitian_ldl_matches_the_real_form_and_the_exact_rank(mat):
+    # a full-rank Gaussian-integer C has det(C^H C) >= 1, so with entries this
+    # small its least eigenvalue is above 2^-60; a rank-deficient one has 0
+    ncols = len(mat[0])
+    frac = 96
+    xs = [[row[j][0] << frac for row in mat] for j in range(ncols)]
+    ys = [[row[j][1] << frac for row in mat] for j in range(ncols)]
+    shift = 1 << (2 * frac - 60)
+    exact = [[cyc(a) + I * b for a, b in row] for row in mat]
+    expected = linalg.rank(exact, ncols) == ncols
+    assert linalg.gram_positive_definite(xs, ys, shift, 2 * frac) == expected
+    assert real_form_positive_definite(xs, ys, shift, 2 * frac) == expected
 
 
 def test_dual_criterion_with_more_samples_than_the_group_order():
@@ -436,13 +550,14 @@ def test_dual_criterion_with_more_samples_than_the_group_order():
     generic = InducedModel.build(random_generic_weight(group, rng))
     pinned = InducedModel.build(degenerate_weight(group, rng))
     for m, expected in ((generic, True), (pinned, False)):
-        samples = dual_sample_elements(m, rng) + [
-            random_element(group, rng) for _ in range(7)
+        # |K| + 7 powers of the sampled translation, with any rotations
+        y = dual_sample_elements(m, rng)[1].translation
+        samples = [
+            GroupElement(group, tuple(j * t for t in y), rng.randrange(group.order))
+            for j in range(group.order + 7)
         ]
-        assert len(samples) > group.order
-        rows = list(_dual_rows(m, samples, 128))
         assert dual_cyclic_check(m, samples) == expected
-        assert svd_full_rank(rows, 128) == expected
+        assert svd_full_rank(reference_dual_rows(m, samples), 128) == expected
     stuck = [GroupElement(group, (ZERO, ZERO), 0)] * (group.order + 5)
     assert not dual_cyclic_check(generic, stuck)
 
@@ -585,54 +700,74 @@ def test_commutant_sample_validation():
         commutant_dimension(m, [(I, ZERO), (ZERO, ONE)])
 
 
-def dense_commutant_dim(m, precision=53):
+def numeric_rank(rows, tol):
+    """Rank by Gaussian elimination with complete pivoting in complex floats:
+    the number of pivots above `tol`."""
+    work = [list(r) for r in rows]
+    rank = 0
+    while work:
+        i, j = max(
+            ((i, j) for i, row in enumerate(work) for j in range(len(row))),
+            key=lambda ij: abs(work[ij[0]][ij[1]]),
+        )
+        pivot = work[i][j]
+        if abs(pivot) <= tol:
+            break
+        prow = work.pop(i)
+        for row in work:
+            f = row[j] / pivot
+            if f:
+                for k, x in enumerate(prow):
+                    row[k] -= f * x
+        rank += 1
+    return rank
+
+
+def dense_commutant_dim(m):
     """Nullspace dimension of the stacked A pi(g) - pi(g) A system.
 
     Generating set: the permutation matrices of the group generators plus
     the diagonal matrices of the standard basis translations.  Everything
-    is assembled from scratch so this shares no code with the library path.
+    is assembled from scratch so this shares no code with the library path,
+    in double precision, with pivots thresholded at 2^-26.
     """
     group = m.group
     n = group.order
     table = group.mult_table
     inv = group.inverse_table
-    with mpmath.workprec(precision + 10):
-        mats = []
-        for k in group.generator_indices:
-            kinv = inv[k]
-            perm = [[mpmath.mpc(0)] * n for _ in range(n)]
-            for h in range(n):
-                perm[h][table[kinv][h]] = mpmath.mpc(1)
-            mats.append(perm)
-        for j in range(group.dimension):
-            diag = [[mpmath.mpc(0)] * n for _ in range(n)]
-            for h in range(n):
-                diag[h][h] = mpmath.exp(-m.orbit.points[h][j].embed(precision))
-            mats.append(diag)
-        rows = []
-        for mat in mats:
-            for i in range(n):
-                for j2 in range(n):
-                    row = [mpmath.mpc(0)] * (n * n)
-                    for b in range(n):
-                        row[i * n + b] += mat[b][j2]
-                    for a in range(n):
-                        row[a * n + j2] -= mat[i][a]
-                    rows.append(row)
-        system = mpmath.matrix(rows)
-        sing = mpmath.svd(system, compute_uv=False)
-        tol = mpmath.mpf(2) ** (-(precision // 2))
-        rank = sum(1 for t in range(sing.rows) if sing[t] > tol)
-        return n * n - rank
+    mats = []
+    for k in group.generator_indices:
+        kinv = inv[k]
+        perm = [[0j] * n for _ in range(n)]
+        for h in range(n):
+            perm[h][table[kinv][h]] = 1 + 0j
+        mats.append(perm)
+    for j in range(group.dimension):
+        diag = [[0j] * n for _ in range(n)]
+        for h in range(n):
+            diag[h][h] = cmath.exp(-complex(m.orbit.points[h][j].embed()))
+        mats.append(diag)
+    rows = []
+    for mat in mats:
+        for i in range(n):
+            for j2 in range(n):
+                row = [0j] * (n * n)
+                for b in range(n):
+                    row[i * n + b] += mat[b][j2]
+                for a in range(n):
+                    row[a * n + j2] -= mat[i][a]
+                rows.append(row)
+    return n * n - numeric_rank(rows, 2.0 ** -26)
 
 
 def test_commutant_agrees_with_dense_solver():
     rng = random.Random(53)
-    group = builtin("dihedral:3")
-    samples = standard_translations(group)
-    for w in (random_generic_weight(group, rng), degenerate_weight(group, rng)):
-        m = InducedModel.build(w)
-        assert dense_commutant_dim(m) == commutant_dimension(m, samples)
+    for spec in ("dihedral:3", "dihedral:4", "symmetric:3"):
+        group = builtin(spec)
+        samples = standard_translations(group)
+        for w in (random_generic_weight(group, rng), degenerate_weight(group, rng)):
+            m = InducedModel.build(w)
+            assert dense_commutant_dim(m) == commutant_dimension(m, samples)
 
 
 def test_certification_quantities_move_together(pipeline):
