@@ -18,9 +18,11 @@ from .errors import (
 )
 from .groups import builtin, load_group_file
 from .harmonics import compute_harmonics, find_fundamental_invariants
+from .series import default_truncation, molien
 from .report import (
     MIN_PRECISION,
     PipelineConfig,
+    Timings,
     eigenspace_section,
     group_section,
     harmonics_section,
@@ -157,18 +159,21 @@ def run(args) -> tuple[dict, int]:
         payload["molien"] = molien_section(group, config.max_degree)
         return payload, 0
 
-    if args.command == "invariants":
+    if args.command in ("invariants", "harmonics"):
         payload = _header(group)
-        invariants = find_fundamental_invariants(group)
-        payload["invariants"] = invariants_section(group, invariants)
-        return payload, 0
-
-    if args.command == "harmonics":
-        payload = _header(group)
-        invariants = find_fundamental_invariants(group)
-        payload["harmonics"] = harmonics_section(
-            compute_harmonics(group, invariants)
-        )
+        timings = Timings(config.collect_timings)
+        with timings.measure("molien"):
+            series = molien(group, default_truncation(group))
+        with timings.measure("invariants"):
+            invariants = find_fundamental_invariants(group, series)
+        if args.command == "invariants":
+            payload["invariants"] = invariants_section(group, invariants)
+        else:
+            with timings.measure("harmonics"):
+                harmonics = compute_harmonics(group, invariants)
+            payload["harmonics"] = harmonics_section(harmonics)
+        if config.collect_timings:
+            payload["timings"] = timings.as_field()
         return payload, 0
 
     if args.command == "eigenspace":

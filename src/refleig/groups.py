@@ -28,6 +28,12 @@ from .errors import (
 )
 
 DEFAULT_MAX_ORDER = 10000
+# The builtin planar groups have entries in Q(zeta_m), m = lcm(4, n), and
+# closing them costs about n phi(m)^2 scalar operations, so the order bound
+# alone admits planar groups that take minutes to build.
+MAX_ROTATION_ORDER = 100
+# trivial:n builds an n x n identity; its Jacobian is an n x n determinant.
+MAX_TRIVIAL_DIMENSION = 8
 
 
 class RMatrix:
@@ -260,6 +266,8 @@ def is_pseudo_reflection_group(group: ReflectionGroup) -> bool:
 
 # -- built-in families -------------------------------------------------------
 
+_FAMILIES = ("dihedral", "cyclic", "symmetric", "hyperoctahedral", "trivial")
+
 
 def _cos_sin(n, k):
     """Exact cos(2 pi k / n) and sin(2 pi k / n).
@@ -291,14 +299,50 @@ def _permutation_matrix(perm):
     )
 
 
+def _family_order(family, n):
+    """Order of the builtin group family:n, or None once it passes
+    DEFAULT_MAX_ORDER (n! and 2^n n! are built up factor by factor)."""
+    order = {"dihedral": 2 * n, "cyclic": n, "trivial": 1}.get(family)
+    if order is None:
+        order = 1
+        for k in range(1, n + 1):
+            order *= 2 * k if family == "hyperoctahedral" else k
+            if order > DEFAULT_MAX_ORDER:
+                return None
+    return order if order <= DEFAULT_MAX_ORDER else None
+
+
 def builtin(spec: str) -> ReflectionGroup:
     """Construct a named group: dihedral:n, symmetric:n, hyperoctahedral:n,
-    cyclic:n (planar rotations, the negative control), or trivial:n."""
+    cyclic:n (planar rotations, the negative control), or trivial:n.
+
+    n is a plain ASCII decimal numeral.  The order is known from n, so a
+    group past DEFAULT_MAX_ORDER, a planar group with n past
+    MAX_ROTATION_ORDER or a trivial group past MAX_TRIVIAL_DIMENSION is
+    refused before anything is built.
+    """
+    family, _, arg = spec.partition(":")
+    if not (arg.isascii() and arg.isdigit()):
+        raise ParseError(f"bad builtin spec {spec!r}; expected name:n")
+    if family not in _FAMILIES:
+        raise ParseError(f"unknown builtin family {family!r}")
     try:
-        family, _, arg = spec.partition(":")
         n = int(arg)
-    except ValueError:
+    except ValueError:  # more digits than int() converts
         raise ParseError(f"bad builtin spec {spec!r}; expected name:n") from None
+    if _family_order(family, n) is None:
+        raise ParseError(
+            f"builtin {spec!r} has order past the limit {DEFAULT_MAX_ORDER}"
+        )
+    if family in ("dihedral", "cyclic") and n > MAX_ROTATION_ORDER:
+        raise ParseError(
+            f"builtin {spec!r}: n is past the limit {MAX_ROTATION_ORDER}"
+        )
+    if family == "trivial" and n > MAX_TRIVIAL_DIMENSION:
+        raise ParseError(
+            f"builtin {spec!r}: dimension is past the limit "
+            f"{MAX_TRIVIAL_DIMENSION}"
+        )
     if family == "dihedral":
         if n < 3:
             raise ParseError("dihedral:n requires n >= 3")
@@ -345,11 +389,10 @@ def builtin(spec: str) -> ReflectionGroup:
                 "hyperoctahedral closure has wrong order"
             )
         return group
-    if family == "trivial":
-        if n < 1:
-            raise ParseError("trivial:n requires n >= 1")
-        return closure([], dimension=n, name=spec)
-    raise ParseError(f"unknown builtin family {family!r}")
+    # trivial
+    if n < 1:
+        raise ParseError("trivial:n requires n >= 1")
+    return closure([], dimension=n, name=spec)
 
 
 # -- group files -------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 Generators are found degree by degree: at each exponent degree the Reynolds
 image basis is scanned in graded-lex order for the first invariant outside
-the subalgebra generated so far, which makes the output deterministic.  Their
-Jacobian determinant is kept with them.
+the subalgebra generated so far, which makes the output deterministic.  The
+Molien coefficient at that degree is the target dimension of the basis, so
+monomials are projected only until their images span it; the basis is the
+reduced echelon form of the same space either way.  Their Jacobian
+determinant is kept with them.
 
 The harmonics come from Steinberg's theorem (R. Steinberg, Differential
 equations invariant under finite reflection groups, Trans. AMS 112, 1964):
@@ -128,7 +131,7 @@ def find_fundamental_invariants(group, series=None) -> FundamentalInvariants:
         for prod in _generator_products(chosen, chosen_degs, d, group.dimension):
             span.add(coeff_vector(prod, monos))
         picked = None
-        for candidate in invariant_subspace(group, d):
+        for candidate in invariant_subspace(group, d, int(mol[d])):
             if span.add(coeff_vector(candidate, monos)):
                 picked = _normalize_leading(candidate)
                 break

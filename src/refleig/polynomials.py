@@ -16,6 +16,7 @@ from functools import lru_cache
 
 from . import linalg
 from .cyclotomic import Cyclotomic, ONE, ZERO, cyc
+from .errors import InternalConsistencyError
 
 
 class Poly:
@@ -280,14 +281,28 @@ def diff_apply(op: Poly, f: Poly) -> Poly:
     return Poly(f.nvars, out, _clean=True)
 
 
-def invariant_subspace(group, degree: int):
-    """Deterministic basis of the degree-k invariants via Reynolds images."""
+def invariant_subspace(group, degree: int, dimension=None):
+    """Deterministic basis of the degree-k invariants via Reynolds images.
+
+    `dimension`, when given, is the dimension of the degree-k invariants,
+    read from the Molien series: projection stops once the images span that
+    many dimensions, and running out of monomials below it raises
+    InternalConsistencyError.  Without it every monomial is projected, which
+    makes the rank an independent check of the series.
+    """
     n = group.dimension
     monos = monomials_of_degree(n, degree)
     span = linalg.RowSpan(len(monos))
     for e in monos:
+        if span.rank == dimension:
+            break
         img = reynolds(group, Poly.monomial(n, e))
         span.add(coeff_vector(img, monos))
+    if dimension is not None and span.rank != dimension:
+        raise InternalConsistencyError(
+            f"Reynolds images of degree {degree} span {span.rank} "
+            f"dimensions, the Molien series says {dimension}"
+        )
     # RowSpan keeps its rows in reduced echelon form sorted by pivot, which
     # makes the returned basis canonical for the monomial order.
     return [poly_from_vector(n, monos, row) for row in span.rows]

@@ -97,7 +97,7 @@ class PipelineConfig:
             raise ValueError(f"max_degree must be >= 0, got {self.max_degree}")
 
 
-class _Timings:
+class Timings:
     def __init__(self, enabled):
         self.enabled = enabled
         self.entries = {}
@@ -251,7 +251,7 @@ def _molien_cross_check(group, series, limit=4) -> bool:
 def verify_all(group: ReflectionGroup, weights, config: PipelineConfig) -> dict:
     """Full pipeline; returns the report dict with an `exit_code` hint key."""
     rng = random.Random(config.seed)
-    timings = _Timings(config.collect_timings)
+    timings = Timings(config.collect_timings)
     checks = {key: "not-run" for key in CHECK_KEYS}
     failed_at = None
 

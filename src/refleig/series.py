@@ -10,8 +10,13 @@ integers (they are dimensions); both facts are asserted rather than trusted.
 For a pseudo-reflection group the reciprocal series is the finite product
 prod (1 - t^d_i); `extract_degrees` recovers the d_i greedily and raises
 NotReflectionSeriesError for any series without such a factorization.
+`SeriesQ.reciprocal` runs its recurrence on integer numerators over one
+common denominator, so a Molien series (integer coefficients, constant term
+1) is inverted with integer operations only.
 """
 
+import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,9 +41,9 @@ def _seq_mul(a, b, trunc):
 
 
 def _seq_recip(a, trunc):
-    # requires a[0] invertible; classic recurrence b_k = -(1/a0) sum a_i b_{k-i}
+    # cyclotomic a with a[0] invertible: b_k = -(1/a0) sum a_i b_{k-i}
     a0 = a[0]
-    inv0 = _QONE / a0 if isinstance(a0, Fraction) else a0.inverse()
+    inv0 = a0.inverse()
     zero = a0 - a0
     out = [inv0]
     for k in range(1, trunc + 1):
@@ -79,7 +84,24 @@ class SeriesQ:
             trunc = self.truncation
         if not self.coeffs[0]:
             raise ZeroDivisionError("series has no reciprocal: zero constant term")
-        return SeriesQ(_seq_recip(self.coeffs, trunc))
+        # self = A / den with integer A; 1/A has coefficients N_k / A_0^(k+1)
+        # with N_0 = 1, N_k = -sum_{i>=1} A_i A_0^(i-1) N_(k-i)
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        a0 = nums[0]
+        scaled = []
+        power = 1
+        for a in nums[1 : trunc + 1]:
+            scaled.append(a * power)
+            power *= a0
+        out = [1]
+        for _ in range(trunc):
+            out.append(-sum(map(operator.mul, scaled, reversed(out))))
+        power = 1
+        for k, n_k in enumerate(out):
+            power *= a0
+            out[k] = Fraction(den * n_k, power)
+        return SeriesQ(out)
 
     def truncated(self, trunc):
         if trunc <= self.truncation:

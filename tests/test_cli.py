@@ -6,12 +6,19 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from refleig import __version__, report
 from refleig.cli import main
+from refleig.groups import (
+    DEFAULT_MAX_ORDER,
+    MAX_ROTATION_ORDER,
+    MAX_TRIVIAL_DIMENSION,
+    _family_order,
+)
 from refleig.parsing import MAX_NESTING, MAX_POWER_BITS
 from refleig.report import MIN_PRECISION, NON_GENERIC_STATUS, PipelineConfig
 
@@ -294,6 +301,35 @@ def test_timings_flag(capsys):
     assert all(t >= 0 for t in rep["timings"].values())
 
 
+@pytest.mark.parametrize(
+    "command, stages",
+    [
+        ("invariants", ["molien", "invariants"]),
+        ("harmonics", ["molien", "invariants", "harmonics"]),
+    ],
+)
+def test_invariants_and_harmonics_timings_flag(capsys, command, stages):
+    _, plain, _ = run_json(capsys, command, "--builtin", "dihedral:4")
+    code, rep, _ = run_json(capsys, command, "--builtin", "dihedral:4", "--timings")
+    assert code == 0
+    assert list(rep) == list(plain) + ["timings"]
+    assert list(rep["timings"]) == stages
+    assert all(t >= 0 for t in rep["timings"].values())
+    del rep["timings"]
+    assert rep == plain
+
+
+@pytest.mark.parametrize("command", ["invariants", "harmonics"])
+def test_invariants_and_harmonics_without_timings_have_no_timings_field(
+    capsys, command
+):
+    code, out, _ = run_cli(capsys, command, "--builtin", "dihedral:4")
+    assert code == 0
+    rep = json.loads(out)
+    assert list(rep) == ["schema_version", "tool", "group", command]
+    assert "timings" not in out
+
+
 def test_out_writes_the_report_to_a_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -448,8 +484,9 @@ def test_module_entry_point():
 # Malformed weight texts and builtin specs must end in exit 0, 1 or 2 with a
 # message, never an exception out of `main`.  Numerals in the token soup stay
 # short; large numbers come only as exponents past `MAX_POWER_BITS`, which the
-# parser refuses before computing them.  Every spec that parses names a group
-# of rank at most 3: nothing bounds the size of a builtin group yet.
+# parser refuses before computing them.  Builtin specs draw numerals of up to
+# six digits, with or without underscores; `groups.builtin` refuses any group
+# past its size bounds before building it.
 
 _WEIGHT_TOKENS = (
     "i", "E(", "E", "(", ")", "^", "^-", "-", "+", "*", "/", ",", " ", "\t",
@@ -484,11 +521,12 @@ _SPEC_ARGUMENTS = (
     "", "-1", "0", "1", "2", "3", "+3", " 2", "x", "3.5", "1e3", "0x3",
     "3:4", "٣", "nan", "-", "0_3",
 )
+_spec_numerals = st.from_regex(r"\A[0-9](_?[0-9]){0,5}\Z")
 _specs = st.one_of(
     st.tuples(
         st.sampled_from(_SPEC_FAMILIES),
         st.sampled_from(_SPEC_SEPARATORS),
-        st.sampled_from(_SPEC_ARGUMENTS),
+        st.one_of(st.sampled_from(_SPEC_ARGUMENTS), _spec_numerals),
     ).map("".join),
     st.text(alphabet=st.characters(blacklist_categories=("Nd", "Cs")), max_size=12),
 )
@@ -519,6 +557,32 @@ def test_fuzz_powers_past_the_bound_are_refused(text):
     code, err = _exit_code(["eigenspace", "--builtin=trivial:1", f"--weight=i*{text}"])
     assert code == 2
     assert "bits" in err
+
+
+@pytest.mark.parametrize(
+    "spec", ["symmetric:9", "trivial:3000", "symmetric:1_0_0_0_0_0"]
+)
+def test_builtin_specs_past_the_size_bounds_are_refused_quickly(spec):
+    start = time.perf_counter()
+    code, err = _exit_code(["info", f"--builtin={spec}"])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert spec in err
+
+
+def test_builtin_bounds_admit_the_largest_groups_below_them():
+    assert _family_order("symmetric", 7) == 5040
+    assert _family_order("symmetric", 8) is None
+    assert _family_order("hyperoctahedral", 5) == 3840
+    assert _family_order("hyperoctahedral", 6) is None
+    assert _family_order("dihedral", DEFAULT_MAX_ORDER // 2) == DEFAULT_MAX_ORDER
+    assert _family_order("cyclic", 10**4000) is None
+    for spec in (f"dihedral:{MAX_ROTATION_ORDER + 1}", f"cyclic:{MAX_ROTATION_ORDER + 1}",
+                 f"trivial:{MAX_TRIVIAL_DIMENSION + 1}", "dihedral:٣", "cyclic:+3"):
+        code, err = _exit_code(["info", f"--builtin={spec}"])
+        assert code == 2 and err.strip(), spec
+    code, _ = _exit_code(["info", f"--builtin=trivial:{MAX_TRIVIAL_DIMENSION}"])
+    assert code == 0
 
 
 @settings(max_examples=60, deadline=None)

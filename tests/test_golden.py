@@ -38,6 +38,11 @@ CASES = (
         ["eigenspace", "--builtin", "dihedral:7",
          "--weight", "i/3, (E(7)-E(7)^6)/5"],
     ),
+    (
+        "invariants-hyperoctahedral-4.json",
+        0,
+        ["invariants", "--builtin", "hyperoctahedral:4"],
+    ),
 )
 
 

@@ -26,6 +26,7 @@ from refleig.harmonics import (
     verify_product_decomposition,
 )
 from refleig.parsing import parse_poly
+from refleig.series import molien
 from refleig.polynomials import (
     Poly,
     act,
@@ -90,6 +91,28 @@ def noether_invariant_candidates(group, max_degree=None):
             if img:
                 out.append(img)
     return out
+
+
+def full_reynolds_generators(group, degrees):
+    """Generators picked from the Reynolds images of every monomial.
+
+    The search without the Molien stop: at each degree all monomials are
+    projected, and the first reduced echelon row outside the subalgebra of
+    the generators so far is picked.
+    """
+    n = group.dimension
+    chosen = []
+    for d in degrees:
+        monos = monomials_of_degree(n, d)
+        invariants = linalg.RowSpan(len(monos))
+        for e in monos:
+            invariants.add(coeff_vector(reynolds(group, Poly.monomial(n, e)), monos))
+        products = linalg.RowSpan(len(monos))
+        for prod in _generator_products(chosen, [g.degree() for g in chosen], d, n):
+            products.add(coeff_vector(prod, monos))
+        row = next(r for r in invariants.rows if products.add(r))
+        chosen.append(Poly(n, dict(zip(monos, row))))
+    return chosen
 
 
 def graded_subalgebra_dims(generators, up_to: int):
@@ -275,6 +298,27 @@ def test_noether_candidates_span_the_invariant_subspaces():
         rows = [coeff_vector(p, monomials) for p in layer]
         rank = linalg.rank(rows, len(monomials)) if rows else 0
         assert rank == len(invariant_subspace(group, degree))
+
+
+@pytest.mark.parametrize(
+    "spec", ("symmetric:4", "hyperoctahedral:3", "dihedral:5", "dihedral:8")
+)
+def test_molien_bounded_search_matches_the_full_reynolds_loop(pipeline, spec):
+    group, invariants, _ = pipeline(spec)
+    reference = full_reynolds_generators(group, invariants.degrees.degrees)
+    assert list(invariants.generators) == reference
+
+
+def test_invariant_subspace_stops_at_the_molien_dimension():
+    group = builtin("symmetric:4")
+    series = molien(group, 8)
+    for degree in range(9):
+        dim = int(series[degree])
+        assert invariant_subspace(group, degree, dim) == invariant_subspace(
+            group, degree
+        )
+        with pytest.raises(InternalConsistencyError, match="Molien series says"):
+            invariant_subspace(group, degree, dim + 1)
 
 
 # -- harmonics from the Jacobian ----------------------------------------------

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from refleig import linalg, series as series_module
 from refleig.errors import InternalConsistencyError, NotReflectionSeriesError
@@ -164,6 +165,49 @@ def test_series_reciprocal():
     prod = s.mul(r)
     assert int(prod[0]) == 1
     assert all(prod[k] == 0 for k in range(1, prod.truncation + 1))
+
+
+def fraction_reciprocal(a, trunc):
+    """Reference: b_k = -(1/a_0) sum_{i>=1} a_i b_(k-i), one Fraction at a time."""
+    inv0 = 1 / a[0]
+    out = [inv0]
+    for k in range(1, trunc + 1):
+        acc = sum(
+            (a[i] * out[k - i] for i in range(1, min(k, len(a) - 1) + 1)),
+            Fraction(0),
+        )
+        out.append(-inv0 * acc)
+    return out
+
+
+_denominators = st.integers(min_value=1, max_value=60)
+_rationals = st.builds(Fraction, st.integers(min_value=-50, max_value=50), _denominators)
+_units = st.builds(
+    Fraction, st.integers(min_value=-50, max_value=50).filter(bool), _denominators
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _units,
+    st.lists(_rationals, max_size=13),
+    st.integers(min_value=0, max_value=20),
+)
+def test_integer_reciprocal_matches_the_fraction_recurrence(head, tail, trunc):
+    s = SeriesQ([head] + tail)
+    r = s.reciprocal(trunc)
+    assert r.truncation == trunc
+    assert r.coeffs == tuple(fraction_reciprocal(s.coeffs, trunc))
+    prod = s.truncated(trunc).mul(r)
+    assert prod.coeffs == (Fraction(1),) + (Fraction(0),) * trunc
+
+
+def test_integer_reciprocal_covers_rational_constant_terms():
+    s = SeriesQ((Fraction(-3, 4), Fraction(5, 6), 2, Fraction(-1, 9)))
+    r = s.reciprocal(12)
+    assert r.coeffs == tuple(fraction_reciprocal(s.coeffs, 12))
+    assert r[0] == Fraction(-4, 3)
+    assert any(c.denominator > 1 for c in r.coeffs[1:])
 
 
 def test_charpoly_against_sympy():
