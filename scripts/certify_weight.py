@@ -14,7 +14,7 @@ import sys
 from refleig.eigenspace import random_generic_weight
 from refleig.groups import builtin
 from refleig.harmonics import compute_harmonics, find_fundamental_invariants
-from refleig.report import PipelineConfig, eigenspace_section, weight_from_strings
+from refleig.report import PipelineConfig, eigenspace_section, parse_weight
 
 
 def main():
@@ -41,7 +41,7 @@ def main():
     if args.random:
         w = random_generic_weight(group, rng)
     else:
-        w = weight_from_strings(group, [t.strip() for t in args.weight.split(",")])
+        w = parse_weight(group, args.weight)
     section = eigenspace_section(group, invariants, harmonics, w, config, rng)
 
     print(f"weight: ({', '.join(section['weight'])})")

@@ -1,13 +1,12 @@
 """Command-line driver.
 
 Subcommands mirror the library layers: `info`, `molien`, `invariants`,
-`harmonics`, `eigenspace`, and the full `verify-all` pipeline.  Exit code 0
-means every certifiable check passed, 1 a verification failure, 2 a usage or
-parse problem.
+`harmonics`, `eigenspace`, and the full `verify-all` pipeline; `report` builds
+every report.  Exit code 0 means every certifiable check passed, 1 a
+verification failure, 2 a usage or parse problem.
 """
 
 import argparse
-import random
 import sys
 
 from .errors import (
@@ -17,23 +16,17 @@ from .errors import (
     RefleigError,
 )
 from .groups import builtin, load_group_file
-from .harmonics import compute_harmonics, find_fundamental_invariants
-from .series import default_truncation, molien
 from .report import (
+    MAX_DEGREE,
+    MAX_PRECISION,
     MIN_PRECISION,
     PipelineConfig,
-    Timings,
-    eigenspace_section,
-    group_section,
-    harmonics_section,
-    invariants_section,
-    molien_section,
+    parse_weight,
     render_json,
     render_text,
     report_exit_code,
+    stage_report,
     verify_all,
-    weight_from_strings,
-    SCHEMA_VERSION,
 )
 from . import __version__
 
@@ -41,17 +34,17 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
-def _int_at_least(minimum):
-    """argparse type: an integer >= minimum, else a usage error (exit 2)."""
+def _int_between(minimum, maximum):
+    """argparse type: an integer in [minimum, maximum], else exit 2."""
 
     def parse(text):
         try:
             value = int(text)
         except ValueError:
             value = minimum - 1
-        if value < minimum:
+        if not minimum <= value <= maximum:
             raise argparse.ArgumentTypeError(
-                f"expected an integer >= {minimum}, got {text!r}"
+                f"expected an integer from {minimum} to {maximum}, got {text!r}"
             )
         return value
 
@@ -71,10 +64,12 @@ def _add_common(sub, with_weight=False):
     sub.add_argument(
         "--out", metavar="FILE", help="write the report to FILE instead of stdout"
     )
-    sub.add_argument("--max-degree", type=_int_at_least(0), default=None, metavar="N")
     sub.add_argument(
-        "--precision", type=_int_at_least(MIN_PRECISION), default=128,
-        metavar="BITS",
+        "--max-degree", type=_int_between(0, MAX_DEGREE), default=None, metavar="N"
+    )
+    sub.add_argument(
+        "--precision", type=_int_between(MIN_PRECISION, MAX_PRECISION),
+        default=128, metavar="BITS",
     )
     sub.add_argument("--seed", type=int, default=0, metavar="S")
     sub.add_argument(
@@ -98,18 +93,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(commands.add_parser("info", help="group metadata"))
-    _add_common(commands.add_parser("molien", help="invariant dimension series"))
-    _add_common(commands.add_parser("invariants", help="fundamental invariants"))
-    _add_common(commands.add_parser("harmonics", help="harmonic decomposition"))
-    _add_common(
-        commands.add_parser("eigenspace", help="per-weight eigenspace data"),
-        with_weight=True,
-    )
-    _add_common(
-        commands.add_parser("verify-all", help="full certification pipeline"),
-        with_weight=True,
-    )
+    for name, text in (
+        ("info", "group metadata"),
+        ("molien", "invariant dimension series"),
+        ("invariants", "fundamental invariants"),
+        ("harmonics", "harmonic decomposition"),
+        ("eigenspace", "per-weight eigenspace data"),
+        ("verify-all", "full certification pipeline"),
+    ):
+        _add_common(
+            commands.add_parser(name, help=text),
+            with_weight=name in ("eigenspace", "verify-all"),
+        )
     return parser
 
 
@@ -123,25 +118,6 @@ def _load_group(args):
         raise ParseError(str(exc)) from exc
 
 
-def _header(group) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool": {"name": "refleig", "version": __version__},
-        "group": group_section(group),
-    }
-
-
-def _parse_weights(group, texts):
-    weights = []
-    for text in texts:
-        parts = [p.strip() for p in text.split(",")]
-        try:
-            weights.append(weight_from_strings(group, parts))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-    return weights
-
-
 def run(args) -> tuple[dict, int]:
     group = _load_group(args)
     config = PipelineConfig(
@@ -150,50 +126,14 @@ def run(args) -> tuple[dict, int]:
         seed=args.seed,
         collect_timings=args.timings,
     )
-
-    if args.command == "info":
-        return _header(group), 0
-
-    if args.command == "molien":
-        payload = _header(group)
-        payload["molien"] = molien_section(group, config.max_degree)
-        return payload, 0
-
-    if args.command in ("invariants", "harmonics"):
-        payload = _header(group)
-        timings = Timings(config.collect_timings)
-        with timings.measure("molien"):
-            series = molien(group, default_truncation(group))
-        with timings.measure("invariants"):
-            invariants = find_fundamental_invariants(group, series)
-        if args.command == "invariants":
-            payload["invariants"] = invariants_section(group, invariants)
-        else:
-            with timings.measure("harmonics"):
-                harmonics = compute_harmonics(group, invariants)
-            payload["harmonics"] = harmonics_section(harmonics)
-        if config.collect_timings:
-            payload["timings"] = timings.as_field()
-        return payload, 0
-
-    if args.command == "eigenspace":
-        if not args.weight:
-            raise ParseError("eigenspace requires at least one --weight")
-        weights = _parse_weights(group, args.weight)
-        invariants = find_fundamental_invariants(group)
-        harmonics = compute_harmonics(group, invariants)
-        rng = random.Random(config.seed)
-        payload = _header(group)
-        payload["eigenspace"] = [
-            eigenspace_section(group, invariants, harmonics, w, config, rng)
-            for w in weights
-        ]
-        return payload, 0
-
-    # verify-all
-    weights = _parse_weights(group, args.weight) if args.weight else None
-    rep = verify_all(group, weights, config)
-    return rep, report_exit_code(rep)
+    texts = getattr(args, "weight", None) or []
+    if args.command == "eigenspace" and not texts:
+        raise ParseError("eigenspace requires at least one --weight")
+    weights = [parse_weight(group, text) for text in texts]
+    if args.command == "verify-all":
+        rep = verify_all(group, weights or None, config)
+        return rep, report_exit_code(rep)
+    return stage_report(group, args.command, config, weights), 0
 
 
 def _reject_empty_values(parser, args):
@@ -211,10 +151,7 @@ def main(argv=None) -> int:
     _reject_empty_values(parser, args)
     try:
         payload, code = run(args)
-    except (ParseError, OrderLimitError, GroupClosureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+    except (ParseError, OrderLimitError, GroupClosureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except RefleigError as exc:

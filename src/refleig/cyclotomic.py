@@ -40,8 +40,9 @@ from .errors import InternalConsistencyError, OrderLimitError
 Rational = Fraction
 
 # Mixed-order arithmetic promotes to the lcm of the operand orders; refuse
-# promotions past this cap rather than looping on degenerate input.
-ORDER_CAP = 1 << 16
+# orders and promotions past this cap, above every builtin conductor (396).
+# The reduction tables are quadratic in m: 0.48 s at m = 2040, 1.6 s at 4095.
+ORDER_CAP = 1 << 11
 
 _gcd = math.gcd
 

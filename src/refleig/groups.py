@@ -209,8 +209,14 @@ def closure(generators, max_order=DEFAULT_MAX_ORDER, dimension=None, name=None):
     if any(g.dimension != n for g in generators):
         raise ValueError("generators must share one dimension")
     for g in generators:
-        if linalg.rank(g.rows, n) != n:
+        coeffs = linalg.charpoly(g.rows, ONE)
+        det = coeffs[0]
+        if not det:
             raise ValueError("generators must be invertible")
+        # finite order: eigenvalues are roots of unity, so the characteristic
+        # polynomial is integral on the power basis and |det| = 1
+        if any(c.den != 1 for c in coeffs) or det * det.conj() != ONE:
+            raise GroupClosureError(f"generator {g.text()} has infinite order")
     ident = RMatrix.identity(n)
     elements = [ident]
     seen = {ident: 0}

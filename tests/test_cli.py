@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from refleig import __version__, report
 from refleig.cli import main
+from refleig.cyclotomic import ORDER_CAP
 from refleig.groups import (
     DEFAULT_MAX_ORDER,
     MAX_ROTATION_ORDER,
@@ -20,7 +22,13 @@ from refleig.groups import (
     _family_order,
 )
 from refleig.parsing import MAX_NESTING, MAX_POWER_BITS
-from refleig.report import MIN_PRECISION, NON_GENERIC_STATUS, PipelineConfig
+from refleig.report import (
+    MAX_DEGREE,
+    MAX_PRECISION,
+    MIN_PRECISION,
+    NON_GENERIC_STATUS,
+    PipelineConfig,
+)
 
 TOP_LEVEL_ORDER = [
     "schema_version",
@@ -301,6 +309,19 @@ def test_timings_flag(capsys):
     assert all(t >= 0 for t in rep["timings"].values())
 
 
+def assert_timings_appended(capsys, argv, stages):
+    """`--timings` appends one field listing `stages`; without it the report
+    is the default one."""
+    _, plain, _ = run_json(capsys, *argv)
+    code, rep, _ = run_json(capsys, *argv, "--timings")
+    assert code == 0
+    assert list(rep) == list(plain) + ["timings"]
+    assert list(rep["timings"]) == stages
+    assert all(t >= 0 for t in rep["timings"].values())
+    del rep["timings"]
+    assert rep == plain
+
+
 @pytest.mark.parametrize(
     "command, stages",
     [
@@ -309,14 +330,23 @@ def test_timings_flag(capsys):
     ],
 )
 def test_invariants_and_harmonics_timings_flag(capsys, command, stages):
-    _, plain, _ = run_json(capsys, command, "--builtin", "dihedral:4")
-    code, rep, _ = run_json(capsys, command, "--builtin", "dihedral:4", "--timings")
-    assert code == 0
-    assert list(rep) == list(plain) + ["timings"]
-    assert list(rep["timings"]) == stages
-    assert all(t >= 0 for t in rep["timings"].values())
-    del rep["timings"]
-    assert rep == plain
+    assert_timings_appended(capsys, [command, "--builtin", "dihedral:4"], stages)
+
+
+@pytest.mark.parametrize(
+    "argv, stages",
+    [
+        (["info"], []),
+        (["molien"], ["molien"]),
+        (
+            ["eigenspace", "--weight", "i*1, i*2"],
+            ["molien", "invariants", "harmonics", "eigenspace"],
+        ),
+    ],
+    ids=["info", "molien", "eigenspace"],
+)
+def test_timings_flag_lists_the_stages_that_ran(capsys, argv, stages):
+    assert_timings_appended(capsys, argv + ["--builtin", "dihedral:4"], stages)
 
 
 @pytest.mark.parametrize("command", ["invariants", "harmonics"])
@@ -457,8 +487,14 @@ def test_pipeline_config_rejects_unsafe_values():
         PipelineConfig(precision=MIN_PRECISION - 1)
     with pytest.raises(ValueError):
         PipelineConfig(max_degree=-1)
+    with pytest.raises(ValueError):
+        PipelineConfig(precision=MAX_PRECISION + 1)
+    with pytest.raises(ValueError):
+        PipelineConfig(max_degree=MAX_DEGREE + 1)
     config = PipelineConfig(precision=MIN_PRECISION, max_degree=0)
     assert (config.precision, config.max_degree) == (MIN_PRECISION, 0)
+    config = PipelineConfig(precision=MAX_PRECISION, max_degree=MAX_DEGREE)
+    assert (config.precision, config.max_degree) == (MAX_PRECISION, MAX_DEGREE)
 
 
 def test_version_flag(capsys):
@@ -481,12 +517,16 @@ def test_module_entry_point():
 
 # -- boundary fuzz ------------------------------------------------------------
 #
-# Malformed weight texts and builtin specs must end in exit 0, 1 or 2 with a
-# message, never an exception out of `main`.  Numerals in the token soup stay
-# short; large numbers come only as exponents past `MAX_POWER_BITS`, which the
-# parser refuses before computing them.  Builtin specs draw numerals of up to
-# six digits, with or without underscores; `groups.builtin` refuses any group
-# past its size bounds before building it.
+# Malformed weight texts, group files, builtin specs and flag values must end
+# in exit 0, 1 or 2 with a message, never an exception out of `main`, and
+# within 2 s.  Numerals in the token soup stay short; large numbers come as
+# exponents past `MAX_POWER_BITS`, which the parser refuses before computing
+# them, and as root-of-unity orders up to 10^6, which `ORDER_CAP` refuses, as
+# it refuses products of two roots whose lcm passes it.  Builtin specs draw
+# numerals of up to six digits, with or without underscores; `groups.builtin`
+# refuses any group past its size bounds before building it.
+
+FUZZ_SECONDS = 2
 
 _WEIGHT_TOKENS = (
     "i", "E(", "E", "(", ")", "^", "^-", "-", "+", "*", "/", ",", " ", "\t",
@@ -505,11 +545,23 @@ _huge_powers = st.tuples(
     st.sampled_from(("", "-")),
     st.integers(min_value=MAX_POWER_BITS + 1, max_value=10**30),
 ).map(lambda t: f"{t[0]}^{t[1]}{t[2]}")
+_roots = st.integers(min_value=1, max_value=10**6).map(lambda m: f"E({m})")
+_rooted_soup = st.lists(
+    st.one_of(st.sampled_from(_WEIGHT_TOKENS), _roots), max_size=8
+).map("".join)
+# E(m) lives in Q(zeta_(m/2)) when m = 2 mod 4, so the lcm is of conductors
+_orders_past_the_cap = st.tuples(
+    st.integers(min_value=2, max_value=ORDER_CAP),
+    st.integers(min_value=2, max_value=ORDER_CAP),
+).filter(
+    lambda t: math.lcm(*(m // 2 if m % 4 == 2 else m for m in t)) > ORDER_CAP
+)
 _weights = st.one_of(
     st.one_of(_weight_soup, _deep_nesting).filter(
         lambda t: not re.search(r"\d{3}", t)
     ),
     _huge_powers,
+    _rooted_soup,
 )
 
 _SPEC_FAMILIES = (
@@ -542,13 +594,91 @@ def _exit_code(argv):
     return code, err.getvalue()
 
 
+def _clean_exit(argv, codes=(0, 1, 2)):
+    """Exit code and stderr of `main(argv)`, which must end in one of
+    `codes`, with a message when nonzero, within `FUZZ_SECONDS`."""
+    start = time.perf_counter()
+    code, err = _exit_code(argv)
+    assert time.perf_counter() - start < FUZZ_SECONDS, argv
+    assert code in codes
+    if code:
+        assert err.strip()
+    return code, err
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["trivial:1", "dihedral:3"]), _weights)
 def test_fuzz_weight_texts_exit_cleanly(group, text):
-    code, err = _exit_code(["eigenspace", f"--builtin={group}", f"--weight={text}"])
-    assert code in (0, 1, 2)
-    if code:
-        assert err.strip()
+    _clean_exit(["eigenspace", f"--builtin={group}", f"--weight={text}"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["trivial:1", "dihedral:3"]), _orders_past_the_cap)
+def test_fuzz_root_products_past_the_cap_are_refused(group, orders):
+    a, b = orders
+    _, err = _clean_exit(
+        ["eigenspace", f"--builtin={group}", f"--weight=E({a})*E({b})"], codes=(2,)
+    )
+    assert f"exceeds cap {ORDER_CAP}" in err
+
+
+@pytest.mark.parametrize(
+    "weight", ["E(65520)-E(65520)^65519", "E(256)*E(255), 0", "E(64)*E(63), 0"]
+)
+def test_orders_past_the_cap_are_refused_quickly(weight):
+    group = "trivial:1" if "," not in weight else "dihedral:3"
+    _, err = _clean_exit(
+        ["eigenspace", f"--builtin={group}", f"--weight={weight}"], codes=(2,)
+    )
+    assert f"exceeds cap {ORDER_CAP}" in err
+
+
+# 1x1 and 2x2 generator lists whose entries come from the weight soup, with a
+# declared dimension that may not match them
+_group_files = st.integers(min_value=1, max_value=2).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {
+            "dimension": st.integers(min_value=0, max_value=3),
+            "generators": st.lists(
+                st.lists(
+                    st.lists(_weight_soup, min_size=n, max_size=n),
+                    min_size=n, max_size=n,
+                ),
+                min_size=1, max_size=2,
+            ),
+        }
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_group_files)
+def test_fuzz_group_files_exit_cleanly(tmp_path_factory, spec):
+    path = tmp_path_factory.mktemp("fuzz") / "group.json"
+    path.write_text(json.dumps(spec))
+    _clean_exit(["info", f"--group={path}"])
+
+
+_flag_values = st.one_of(
+    st.integers(min_value=-10**30, max_value=10**30).map(str),
+    st.integers(min_value=-2, max_value=2 * MAX_DEGREE).map(str),
+    st.sampled_from(_SPEC_ARGUMENTS),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["molien", "verify-all"]),
+    st.one_of(st.none(), _flag_values),
+    st.one_of(st.none(), _flag_values),
+)
+def test_fuzz_degree_and_precision_flags_exit_cleanly(command, degree, precision):
+    argv = [command, "--builtin=dihedral:3"]
+    if degree is not None:
+        argv.append(f"--max-degree={degree}")
+    if precision is not None:
+        argv.append(f"--precision={precision}")
+    _clean_exit(argv)
 
 
 @settings(max_examples=30, deadline=None)

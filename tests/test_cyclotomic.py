@@ -108,6 +108,8 @@ def test_order_cap():
         E(ORDER_CAP * 2)
     with pytest.raises(OrderLimitError):
         E(6553) * E(65521)  # lcm far beyond the cap
+    with pytest.raises(OrderLimitError):
+        E(64) * E(63)  # each order within the cap, their lcm 4032 past it
 
 
 def test_cyclotomic_polynomial_values():

@@ -819,7 +819,7 @@ def test_degenerate_weight_is_pinned_but_nonzero():
 def test_default_battery_builds_each_orbit_once(monkeypatch):
     # the orbit built to test genericity is the one the model reuses
     from refleig import eigenspace
-    from refleig.report import PipelineConfig, verify_all
+    from refleig.report import BATTERY_GENERIC, PipelineConfig, verify_all
 
     built = []
     compute = eigenspace.orbit
@@ -829,8 +829,7 @@ def test_default_battery_builds_each_orbit_once(monkeypatch):
         return compute(w)
 
     monkeypatch.setattr(eigenspace, "orbit", counting_orbit)
-    config = PipelineConfig()
-    report = verify_all(builtin("dihedral:3"), None, config)
-    assert len(report["eigenspace"]) == config.battery_generic + 1
-    assert len(built) >= config.battery_generic + 1
+    report = verify_all(builtin("dihedral:3"), None, PipelineConfig())
+    assert len(report["eigenspace"]) == BATTERY_GENERIC + 1
+    assert len(built) >= BATTERY_GENERIC + 1
     assert len({id(w) for w in built}) == len(built)

@@ -43,6 +43,12 @@ CASES = (
         0,
         ["invariants", "--builtin", "hyperoctahedral:4"],
     ),
+    (
+        "molien-hyperoctahedral-4.json",
+        0,
+        ["molien", "--builtin", "hyperoctahedral:4"],
+    ),
+    ("harmonics-symmetric-4.json", 0, ["harmonics", "--builtin", "symmetric:4"]),
 )
 
 

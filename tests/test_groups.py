@@ -96,6 +96,15 @@ def test_infinite_group_hits_bound():
         closure([shear], max_order=64)
 
 
+def test_generators_of_infinite_order_are_refused_before_closure():
+    # a non-integral characteristic polynomial (trace 1/3, det 1) and a
+    # determinant of absolute value 2: each took seconds to hit the bound
+    for rows in ([[0, 1], [-1, Fraction(1, 3)]], [[2, 0], [0, 1]]):
+        g = RMatrix([[cyc(x) for x in row] for row in rows])
+        with pytest.raises(GroupClosureError, match="infinite order"):
+            closure([g])
+
+
 def test_bad_builtin_specs():
     for spec in ("nosuch:3", "dihedral:2", "dihedral:x", "dihedral", ""):
         with pytest.raises(ParseError):

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from refleig import linalg, series as series_module
 from refleig.errors import InternalConsistencyError, NotReflectionSeriesError
 from refleig.groups import builtin
-from refleig.report import PipelineConfig, verify_all
+from refleig.cli import main
 from refleig.series import (
     DegreeVector,
     SeriesQ,
@@ -139,7 +139,8 @@ def test_series_identity_detects_wrong_degrees():
     assert not series_identity_check(group, degrees=wrong)
 
 
-def test_verify_all_computes_molien_once(monkeypatch):
+def test_verify_all_computes_molien_once(monkeypatch, capsys):
+    # every subcommand that reads the series computes it once
     original = series_module.molien
     calls = []
 
@@ -155,8 +156,17 @@ def test_verify_all_computes_molien_once(monkeypatch):
                     monkeypatch.setattr(module, key, counted)
                     bindings += 1
     assert bindings >= 2  # the defining module and at least one importer
-    verify_all(builtin("dihedral:3"), None, PipelineConfig(battery_generic=1))
-    assert len(calls) == 1
+    for argv in (
+        ["verify-all"],
+        ["molien"],
+        ["invariants"],
+        ["harmonics"],
+        ["eigenspace", "--weight", "i*1, i*2"],
+    ):
+        calls.clear()
+        assert main(argv + ["--builtin", "dihedral:3"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1, argv
 
 
 def test_series_reciprocal():
