@@ -22,9 +22,11 @@ Q(zeta_{m/p}) is closed form, with no linear solve:
 Coordinates are integer numerators over one denominator den > 0 with
 gcd(den, *nums) = 1 (H. Cohen, GTM 138, section 4.2), so the arithmetic runs
 on ints; `Fraction` appears only at the boundary.  Nothing here is floating
-point except the explicit embedding.  `Reduction`, last in the module, maps
-values into a prime field F_p; it is the one modular reduction behind every
-rank certified mod p.
+point: `embed_fixed` and `cis_fixed` give values and phases as integers at a
+scale 2^q, and only the public `embed` and `embed_complex` return mpmath
+numbers, importing mpmath when called.  `Reduction`, last in the module,
+maps values into a prime field F_p; it is the one modular reduction behind
+every rank certified mod p.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-
-import mpmath
 
 from .errors import InternalConsistencyError, OrderLimitError
 
@@ -492,6 +492,8 @@ class Cyclotomic:
 
     def embed(self, precision: int = 53):
         """Value as an mpmath complex number at `precision` bits."""
+        import mpmath
+
         den = self.den
         prec = precision + 10
         with mpmath.workprec(prec):
@@ -507,6 +509,8 @@ class Cyclotomic:
 @lru_cache(maxsize=None)
 def _root(i, m, prec):
     """zeta_m^i = e^(2 pi i i / m) at `prec` bits."""
+    import mpmath
+
     with mpmath.workprec(prec):
         return mpmath.expjpi(mpmath.mpf(2 * i) / m)
 
@@ -609,6 +613,177 @@ def embed_complex(a: Cyclotomic, precision: int = 53):
     """
     z = a.embed(precision)
     return (z.real, z.imag)
+
+
+# -- integer fixed-point embedding ----------------------------------------------
+#
+# A real number v at scale 2^q is an integer within a unit or so of v 2^q, and
+# a complex number is a pair of them, a Gaussian integer.  pi comes from
+# Machin's formula, and cos and sin from argument reduction mod pi/2, halving
+# and a Taylor series (R. P. Brent, J. ACM 23, 1976).  The tables of pi and
+# of the roots of unity are cached by scale, and nearby scales share one:
+# each is built at a multiple of 64 bits, or of q/16 to q/8 bits past 1024.
+
+
+def _table_scale(q: int) -> int:
+    """The scale a table serves q from: q rounded up to a multiple of
+    2^max(6, bit_length(q) - 4)."""
+    step = 1 << max(6, q.bit_length() - 4)
+    return -(-q // step) * step
+
+
+def _round_shift(v: int, k: int) -> int:
+    """v / 2^k rounded to the nearest integer, for k >= 0."""
+    return (v + (1 << (k - 1))) >> k if k else v
+
+
+def _arctan_inv(x: int, w: int) -> int:
+    """arctan(1/x) at scale 2^w for an integer x >= 2, within 2 units a term.
+
+    Each power floor(2^w / x^(2k+1)) is exact, and the division by 2k + 1
+    truncates once.
+    """
+    power = total = (1 << w) // x
+    x2 = x * x
+    k = 1
+    while power:
+        power //= x2
+        k += 2
+        term = power // k
+        total += -term if k & 2 else term
+    return total
+
+
+@lru_cache(maxsize=None)
+def _pi_table(q: int) -> int:
+    """pi = 16 arctan(1/5) - 4 arctan(1/239) at scale 2^q, within one unit.
+
+    At the working scale w = q + guard the two series have about w / 4.6
+    and w / 16 terms, each off by under 2 units, so the sum is off by under
+    8 w units, below half of 2^guard.
+    """
+    guard = q.bit_length() + 8
+    w = q + guard
+    return _round_shift(16 * _arctan_inv(5, w) - 4 * _arctan_inv(239, w), guard)
+
+
+def _pi_fixed(q: int) -> int:
+    """pi at scale 2^q, within one unit."""
+    table = _table_scale(q)
+    return _round_shift(_pi_table(table), table - q)
+
+
+def _cis_reduced(r: int, w: int):
+    """(cos t, sin t) at scale 2^w for t = r / 2^w with |t| <= pi/4 + 2^-w,
+    each within 3/4 unit: 1/4 before the final rounding.
+
+    t is halved h = sqrt(w) / 4 times and h complex squarings undo that.
+    The Taylor series of e^(i x) at x = t / 2^h runs as one chain of
+    x^(4 floor(k/4)) / k!, one product by x^4 every four terms, summed by
+    k mod 4 and put together with x, x^2 and x^3 at the end.  The working
+    scale has g = bit_length(w) + 4 guard bits: the chain has at most w
+    steps, each off by under 2 units, and the squarings double that error
+    h times.
+    """
+    if not r:
+        return 1 << w, 0
+    h = max(1, math.isqrt(w) // 4)
+    g = w.bit_length() + 4
+    big = w + h + g
+    x = abs(r) << g  # t / 2^h at scale 2^big
+    x2 = x * x >> big
+    x3 = x2 * x >> big
+    x4 = x2 * x2 >> big
+    sums = [1 << big, 0, 0, 0]
+    a = 1 << big
+    k = 0
+    while a:
+        k += 1
+        if not k & 3:
+            a = a * x4 >> big
+        a //= k
+        sums[k & 3] += a
+    # i^k is 1, i, -1, -i for k = 0, 1, 2, 3 mod 4
+    c = sums[0] - (x2 * sums[2] >> big)
+    s = (x * sums[1] - x3 * sums[3]) >> big
+    for _ in range(h):
+        c, s = (c + s) * (c - s) >> big, (c * s) >> (big - 1)
+    if r < 0:
+        s = -s
+    return _round_shift(c, h + g), _round_shift(s, h + g)
+
+
+def _quarter_turns(c: int, s: int, k: int):
+    """i^k (c + i s) as a pair, exactly."""
+    k &= 3
+    if k == 0:
+        return c, s
+    if k == 1:
+        return -s, c
+    if k == 2:
+        return -c, -s
+    return s, -c
+
+
+def cis_fixed(theta: int, q: int):
+    """(cos t, sin t) at scale 2^q for the angle t = theta / 2^q, each within
+    one unit however large |t| is.
+
+    t is reduced to |r| <= pi/4 by the nearest multiple k pi/2, at a scale
+    with as many more bits as k has, plus three, so that k times the error
+    of pi/2 stays below 1/8 unit of 2^(-q).
+    """
+    n = max(abs(theta).bit_length() - q, 0) + 3
+    w = q + n
+    half_pi = _pi_fixed(w - 1)  # pi/2 at scale 2^w
+    t = theta << n
+    k = (2 * t + half_pi) // (2 * half_pi)
+    c, s = _cis_reduced(t - k * half_pi, w)
+    c, s = _quarter_turns(c, s, k)
+    return _round_shift(c, n), _round_shift(s, n)
+
+
+@lru_cache(maxsize=None)
+def _root_table(m: int, q: int):
+    """zeta_m^i = e^(2 pi i i / m) for i < phi(m) as Gaussian integers at
+    scale 2^q, each part within one unit; exact at the quarter turns.
+
+    The angle is (a + b / m) pi/2 with 4 i = a m + b and |b| <= m/2, so
+    only (b / m) pi/2 goes through the series.
+    """
+    w = q + 4
+    half_pi = _pi_fixed(w - 1)  # pi/2 at scale 2^w
+    out = []
+    for i in range(euler_phi(m)):
+        a, b = divmod(4 * i, m)
+        if 2 * b > m:
+            a, b = a + 1, b - m
+        c, s = _cis_reduced((2 * half_pi * b + m) // (2 * m), w)
+        c, s = _quarter_turns(c, s, a)
+        out.append((_round_shift(c, 4), _round_shift(s, 4)))
+    return tuple(out)
+
+
+def embed_fixed(x: Cyclotomic, q: int):
+    """x at scale 2^q as a Gaussian integer (re, im), each part within one
+    unit of 2^(-q) and exact when x is a rational multiple of a power of i
+    with an integer value at that scale.
+
+    The roots are read at sum |c_i| / den times more precision, so their
+    errors weighted by the coordinates stay below 1/4 unit.
+    """
+    den = x.den
+    nums = x.nums
+    total = sum(map(abs, nums.values()))
+    table = _table_scale(q + (total // den).bit_length() + 2)
+    roots = _root_table(x.order, table)
+    re = im = 0
+    for i, c in nums.items():
+        a, b = roots[i]
+        re += c * a
+        im += c * b
+    d = den << (table - q)
+    return (2 * re + d) // (2 * d), (2 * im + d) // (2 * d)
 
 
 # -- reduction modulo a split prime ----------------------------------------------

@@ -25,23 +25,36 @@ and both must agree.
 
 Both numeric routes work in integer fixed point at scale 2^(p + 10) for the
 working precision p, and both threshold at t = 2^(-(p // 2)).  One helper,
-`_phases`, embeds each e^s they need once.  The dual-orbit test of
-Theorem 3.10 is the independent numeric route: the rows pi^c(g) u* of the
-K-fixed functional over the samples (j y, k), j = 0, 1, ..., form a
-Vandermonde matrix A, each row the row before times the phase row read from
-`model_act`.  A passes when every singular value exceeds t, that is, when
-A^H A - t^2 I is positive definite; this is decided by an LDL^H
-factorization of the exact Gaussian-integer Gram matrix, with no SVD.
+`_phases`, embeds each e^s they need once, through the integer embedding of
+`cyclotomic` (`embed_fixed`, `cis_fixed`), within 5/8 of a unit; no
+certificate path imports mpmath, which only `FormalExp.embed` uses.  Rows
+built from those phases by `_dual_rows` stay within (2r + 1) units for r
+samples, far below t / 2^8, the tolerance of their cross-check against
+`model_act`.
+
+The dual-orbit test of Theorem 3.10 is the independent numeric route: the
+rows pi^c(g) u* of the K-fixed functional over the samples (j y, k),
+j = 0, 1, ..., form a Vandermonde matrix A, each row the row before times
+the phase row read from `model_act`.  A passes when every singular value
+exceeds t, that is, when A^H A - t^2 I is positive definite; this is
+decided by an LDL^H factorization of the exact Gaussian-integer Gram
+matrix, with no SVD.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import mpmath
-
 from . import linalg
-from .cyclotomic import Cyclotomic, ONE, Reduction, ZERO, cyc
+from .cyclotomic import (
+    Cyclotomic,
+    ONE,
+    Reduction,
+    ZERO,
+    cis_fixed,
+    cyc,
+    embed_fixed,
+)
 from .errors import (
     InsufficientSamplesError,
     InternalConsistencyError,
@@ -211,6 +224,8 @@ class FormalExp:
         )
 
     def embed(self, precision: int = 53):
+        import mpmath
+
         with mpmath.workprec(precision + 10):
             acc = mpmath.mpc(0)
             for s, c in self.terms.items():
@@ -337,12 +352,19 @@ def intertwiner(m: InducedModel, v) -> PlaneWaveSum:
 
 def eigenspace_action(group: ReflectionGroup, g: GroupElement, p: PlaneWaveSum) -> PlaneWaveSum:
     """Action of the motion group on plane waves:
-    e^<mu, .> -> exp(-<k mu, y>) e^<k mu, .> for g = (y, k)."""
+    e^<mu, .> -> exp(-<k mu, y>) e^<k mu, .> for g = (y, k).
+
+    Each k mu is computed by `RMatrix.apply`, once per rotation and
+    exponent for the life of the group (`ReflectionGroup.rotated_points`).
+    """
     k = group.elements[g.rotation]
+    memo = group.rotated_points[g.rotation]
     y = [cyc(t) for t in g.translation]
     out = {}
     for mu, c in p.waves.items():
-        new_mu = k.apply(mu)
+        new_mu = memo.get(mu)
+        if new_mu is None:
+            new_mu = memo[mu] = k.apply(mu)
         phase = FormalExp.exp(-linalg.dot(new_mu, y))
         linalg.add_term(out, new_mu, phase * c)
     return PlaneWaveSum(p.dimension, out, _clean=True)
@@ -380,10 +402,10 @@ def invariant_eigenvalues(invariants, w: Weight):
 def _phases(exponents, precision: int):
     """e^s for exact purely imaginary s, as integer pairs (re, im) at scale 2^P.
 
-    P = precision + 10.  Each distinct exponent is embedded once, with four
-    more bits than its integer part has, so the angle reaching cos and sin
-    is within about 2^(-P-4) and e^s lands within a few units of 2^(-P)
-    however large |s| is.
+    P = precision + 10.  Each distinct exponent is embedded once: its angle
+    Im s by `embed_fixed` at scale 2^(P+4), within one unit there, and
+    e^s by `cis_fixed` at that scale, within one more unit.  Rounded to
+    2^P, each part is within 5/8 of a unit however large |s| is.
     """
     bits = precision + 10
     seen = {}
@@ -391,11 +413,8 @@ def _phases(exponents, precision: int):
     for s in exponents:
         z = seen.get(s)
         if z is None:
-            extra = (sum(map(abs, s.nums.values())) // s.den).bit_length() + 4
-            with mpmath.workprec(bits + extra):
-                c, si = mpmath.cos_sin(s.embed(bits + extra).imag)
-            # `ldexp` and `int` shift the mantissa exactly
-            z = seen[s] = (int(mpmath.ldexp(c, bits)), int(mpmath.ldexp(si, bits)))
+            c, si = cis_fixed(embed_fixed(s, bits + 4)[1], bits + 4)
+            z = seen[s] = ((c + 8) >> 4, (si + 8) >> 4)
         out.append(z)
     return out
 
@@ -476,10 +495,11 @@ def _dual_rows(m: InducedModel, samples, precision: int):
     `model_act` at g_1 and embedded once by `_phases`.  Row j is the row
     before times that phase row, one Gaussian-integer product per entry.
 
-    Error budget: z_h is within about 2 units of 2^(-P), and each product
-    carries the error before it and adds a rounding of at most 2 units, so
-    every entry of r rows is within about (2r + 2) * 2^(-P).  At |K| = 384
-    and precision 128 that is below 2^(-110), far below t = 2^(-64).  The
+    Error budget: z_h is within one unit of 2^(-P) (`_phases`), and each
+    product carries the error before it and adds a rounding of at most 2
+    units, so every entry of r rows is within about (2r + 1) * 2^(-P).  At
+    |K| = 384 and precision 128 that is below 2^(-110), far below
+    t = 2^(-64).  The
     last row is compared with `model_act` at g_(r-1), embedded directly;
     a difference above t / 2^8 is an internal error.
     """

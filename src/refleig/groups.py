@@ -5,9 +5,10 @@ the resulting element order is deterministic (identity first, then insertion
 order of the search) and several downstream indices depend on it.  Closure
 is the only place elements are multiplied as matrices; every other product
 is read from the table of element-by-generator products it keeps.  The
-pseudo-reflection test is exact rank(M - I) = 1.  The group-level test checks
-that the generators are orthogonal (so every element is) and that the
-reflections generate the group, by a search over element indices.
+pseudo-reflection test is exact rank(M - I) = 1, ruled out mod p first for
+most elements.  The group-level test checks that the generators are
+orthogonal (so every element is) and that the reflections generate the
+group, by a search over element indices.
 
 Elements of the motion group R^n x| K are (translation, rotation) pairs with
 the semidirect multiplication (x1, k1)(x2, k2) = (x1 + k1 x2, k1 k2).
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cyclotomic import E, ONE, ZERO, cyc
+from .cyclotomic import E, ONE, Reduction, ZERO, cyc
 from .errors import (
     GroupClosureError,
     InternalConsistencyError,
@@ -99,13 +100,24 @@ class RMatrix:
 
 
 def is_pseudo_reflection(m: RMatrix) -> bool:
-    """Exact test that m fixes a hyperplane: rank(m - I) = 1."""
+    """Exact test that m fixes a hyperplane: rank(m - I) = 1, that is,
+    m - I is nonzero and every 2 x 2 minor of it vanishes.  No field
+    inverse is taken."""
     n = m.dimension
     diff = [
         [m.rows[i][j] - ONE if i == j else m.rows[i][j] for j in range(n)]
         for i in range(n)
     ]
-    return linalg.rank(diff, n) == 1
+    if not any(x for row in diff for x in row):
+        return False
+    for i in range(n):
+        for k in range(i + 1, n):
+            a, b = diff[i], diff[k]
+            for j in range(n):
+                for l in range(j + 1, n):
+                    if a[j] * b[l] != a[l] * b[j]:
+                        return False
+    return True
 
 
 class ReflectionGroup:
@@ -129,6 +141,7 @@ class ReflectionGroup:
         self._inv = None
         self._reflection_flags = None
         self._action_powers = None
+        self._rotated_points = None
 
     @property
     def order(self):
@@ -182,11 +195,35 @@ class ReflectionGroup:
         return self._action_powers
 
     @property
+    def rotated_points(self):
+        """One memo per element for `eigenspace.eigenspace_action`: exponent
+        vector mu -> elements[i] . mu, filled lazily."""
+        if self._rotated_points is None:
+            self._rotated_points = [{} for _ in self.elements]
+        return self._rotated_points
+
+    @property
     def reflection_flags(self):
+        """Whether each element is a pseudo-reflection.
+
+        All entries go through one `Reduction` first.  A rank of m - I of 2
+        or more mod p settles False, since reduction never raises a rank;
+        only the elements left are tested exactly (`is_pseudo_reflection`).
+        """
         if self._reflection_flags is None:
-            self._reflection_flags = tuple(
-                is_pseudo_reflection(m) for m in self.elements
-            )
+            red = Reduction([x for m in self.elements for row in m.rows for x in row])
+            p = red.p
+            n = self.dimension
+            flags = []
+            for m in self.elements:
+                rows = [
+                    [red.scalar(x) - (i == j) for j, x in enumerate(row)]
+                    for i, row in enumerate(m.rows)
+                ]
+                flags.append(
+                    linalg.rank_mod(rows, n, p) < 2 and is_pseudo_reflection(m)
+                )
+            self._reflection_flags = tuple(flags)
         return self._reflection_flags
 
     def reflections(self):

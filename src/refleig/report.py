@@ -19,9 +19,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from . import __version__
+from .cyclotomic import embed_fixed
 from .eigenspace import (
     InducedModel,
     FormalExp,
@@ -204,20 +203,40 @@ def _equivariance_battery(m: InducedModel, rng, trials) -> bool:
 
 def _commutant_translations(m: InducedModel):
     """The translations 2^(-k) e_i, with 2^k the least power of two at least
-    2 max_h |mu_h[i]| as read from a 53-bit embedding.
+    2 max_h |mu_h[i]|.
 
     Every nonzero difference of pairings <mu_h - mu_h', x> then lies in
     (0, 1], where the phases it compares stay far apart compared with the
     numeric threshold, whatever the scale of the weight.
     """
+    n = m.group.dimension
     out = []
-    for i in range(m.group.dimension):
-        top = max(abs(x.embed()) for x in {pt[i] for pt in m.orbit.points})
-        mant, k = mpmath.frexp(2 * top)
-        if mant == 0.5:
-            k -= 1
-        out.append(tuple(Fraction(2) ** -k if j == i else 0 for j in range(m.group.dimension)))
+    for i in range(n):
+        k = max(
+            (_twice_abs_exponent(x) for x in {pt[i] for pt in m.orbit.points} if x),
+            default=0,
+        )
+        out.append(tuple(Fraction(2) ** -k if j == i else 0 for j in range(n)))
     return out
+
+
+def _twice_abs_exponent(x) -> int:
+    """The least k with 2^k >= 2 |x| for a nonzero cyclotomic x.
+
+    |x|^2 is read as re^2 + im^2 from `embed_fixed`, at a scale where |x| is
+    at least 2^62 units.  The scale starts 64 bits past the denominator's,
+    so a rational multiple of a power of i, such as a coordinate of a weight
+    in Q(i)^n, embeds exactly, and a modulus that is a power of two is found
+    exactly.
+    """
+    q = 64 + x.den.bit_length()
+    while True:
+        re, im = embed_fixed(x, q)
+        norm = re * re + im * im
+        if norm >> 124:
+            # 4 |x|^2 <= 4^(k+q) holds first at 2(k + q) = bit_length(4 norm - 1)
+            return ((4 * norm - 1).bit_length() + 1) // 2 - q
+        q += 64
 
 
 def eigenspace_section(group, invariants, harmonics, w: Weight, config: PipelineConfig, rng) -> dict:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,11 +16,13 @@ from hypothesis import given, settings, strategies as st
 from refleig import __version__, report
 from refleig.cli import main
 from refleig.cyclotomic import ORDER_CAP
+from refleig.eigenspace import InducedModel
 from refleig.groups import (
     DEFAULT_MAX_ORDER,
     MAX_ROTATION_ORDER,
     MAX_TRIVIAL_DIMENSION,
     _family_order,
+    builtin,
 )
 from refleig.parsing import MAX_NESTING, MAX_POWER_BITS
 from refleig.report import (
@@ -159,6 +162,21 @@ def test_eigenspace_commutant_twin_at_a_tiny_weight(capsys):
     assert section["generic"] is True
     assert section["evaluation_rank"] == 8
     assert section["commutant_dim"] == 1
+
+
+@pytest.mark.parametrize(
+    "spec, weight, scale",
+    [
+        # 2 max|mu_h[i]| = 16 is a power of two, so 2^k equals it
+        ("dihedral:4", "i*4, i*8", Fraction(1, 16)),
+        # the Q(zeta_28) weight of the dihedral:7 golden report
+        ("dihedral:7", "i/3, (E(7)-E(7)^6)/5", Fraction(1)),
+    ],
+)
+def test_commutant_translations_are_pinned(spec, weight, scale):
+    group = builtin(spec)
+    m = InducedModel.build(report.parse_weight(group, weight))
+    assert report._commutant_translations(m) == [(scale, 0), (0, scale)]
 
 
 def test_eigenspace_requires_weight(capsys):
@@ -416,6 +434,21 @@ def test_group_file_scalar_error_is_usage(tmp_path, capsys):
     assert "generator" in err
 
 
+def test_group_file_with_a_large_conductor_loads_quickly(tmp_path, capsys):
+    # diag(zeta_77, zeta_8) has order 616 and 76 + 7 reflections; each
+    # element's rank(m - I) in Q(zeta_616) is ruled out mod p, not by rref
+    path = tmp_path / "diag.json"
+    path.write_text(
+        json.dumps({"dimension": 2, "generators": [[["E(77)", "0"], ["0", "E(8)"]]]})
+    )
+    start = time.perf_counter()
+    code, rep, _ = run_json(capsys, "info", "--group", str(path))
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert rep["group"]["order"] == 616
+    assert rep["group"]["reflection_count"] == 83
+
+
 def test_malformed_group_file_is_usage(tmp_path, capsys):
     # numbers in place of entry strings used to die with a TypeError
     path = tmp_path / "numbers.json"
@@ -513,6 +546,24 @@ def test_module_entry_point():
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["molien"]["coefficients"] == [1, 0, 1, 1, 1, 1, 2]
+
+
+def test_no_subcommand_imports_mpmath():
+    # mpmath only serves the public `embed` methods; a None entry in
+    # sys.modules makes any import of it raise
+    code = """
+import contextlib, io, sys
+sys.modules["mpmath"] = None
+from refleig.cli import main
+for argv in (["info"], ["molien"], ["invariants"], ["harmonics"],
+             ["eigenspace", "--weight", "i*1, i*2"], ["verify-all"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv[:1] + ["--builtin", "dihedral:3"] + argv[1:]) == 0, argv
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- boundary fuzz ------------------------------------------------------------

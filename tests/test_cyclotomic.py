@@ -24,9 +24,12 @@ from refleig.cyclotomic import (
     cyc,
     _int_poly_div_exact,
     _poly_modinv,
+    _pi_fixed,
     _reduce,
+    cis_fixed,
     cyclotomic_polynomial,
     embed_complex,
+    embed_fixed,
     euler_phi,
 )
 from refleig.errors import InternalConsistencyError, OrderLimitError
@@ -513,3 +516,59 @@ def test_integer_kernel_matches_the_fraction_reference(ta, tb):
         assert _canonical(value) == ref
         assert hash(value) == _ref_hash(ref)
         assert value.embed(128) == _ref_embed(ref, 128)
+
+
+# -- integer fixed-point embedding -------------------------------------------------
+
+
+def _units(v, q):
+    """An mpmath real at scale 2^q."""
+    return mpmath.ldexp(v, q)
+
+
+@pytest.mark.parametrize("q", [1, 64, 138, 500, 1034, 4100])
+def test_fixed_pi_is_within_one_unit(q):
+    with mpmath.workprec(q + 40):
+        assert abs(_pi_fixed(q) - _units(mpmath.pi, q)) <= 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([64, 138, 266, 1034, 5000]),
+    st.integers(-(1 << 40), 1 << 40),
+    st.integers(0, (1 << 64) - 1),
+    st.integers(-12, 12),
+)
+def test_fixed_cis_is_within_one_unit(q, whole, frac, quarter):
+    # any angle, and the angles k pi/2 exactly as fixed point holds them,
+    # where the reduction mod pi/2 changes its quotient
+    for theta in ((whole << q) + (frac << (q - 64)), quarter * _pi_fixed(q - 1)):
+        c, s = cis_fixed(theta, q)
+        with mpmath.workprec(q + 120):
+            t = mpmath.ldexp(theta, -q)
+            assert abs(c - _units(mpmath.cos(t), q)) <= 1
+            assert abs(s - _units(mpmath.sin(t), q)) <= 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(kernel_terms(), st.sampled_from([64, 138, 1034]))
+def test_fixed_embedding_is_within_one_unit(terms, q):
+    x = Cyclotomic(*terms)
+    re, im = embed_fixed(x, q)
+    z = x.embed(q + 40)
+    with mpmath.workprec(q + 40):
+        assert abs(re - _units(z.real, q)) <= 1
+        assert abs(im - _units(z.imag, q)) <= 1
+
+
+@pytest.mark.parametrize(
+    "x, re, im",
+    [
+        (E(4) * 8, 0, 8),
+        (-E(4) / 2**80, 0, Fraction(-1, 2**80)),
+        (cyc(Fraction(-3, 4)), Fraction(-3, 4), 0),
+        (E(4) ** 3 * 5, 0, -5),
+    ],
+)
+def test_fixed_embedding_is_exact_at_the_quarter_turns(x, re, im):
+    assert embed_fixed(x, 100) == (re * 2**100, im * 2**100)

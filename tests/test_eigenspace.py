@@ -16,7 +16,15 @@ from hypothesis import strategies as st
 
 from conftest import REFLECTION_BATTERY
 from refleig import linalg
-from refleig.cyclotomic import E, ONE, Reduction, ZERO, cyc, prime_factors
+from refleig.cyclotomic import (
+    Cyclotomic,
+    E,
+    ONE,
+    Reduction,
+    ZERO,
+    cyc,
+    prime_factors,
+)
 from refleig.errors import (
     InsufficientSamplesError,
     InternalConsistencyError,
@@ -290,6 +298,38 @@ def test_eigenspace_action_is_multiplicative():
         )
 
 
+def test_eigenspace_action_applies_each_rotation_once(monkeypatch):
+    # k . mu comes from RMatrix.apply once per (element, exponent) for the
+    # life of the group, whatever translation or coefficients come with it
+    from refleig.groups import RMatrix
+
+    group = builtin("dihedral:4")
+    m = InducedModel.build(imag_weight(group, (1, 2)))
+    p = intertwiner(m, m.fixed_vector())
+    reference = [
+        eigenspace_action(group, GroupElement(group, (1, 2), r), p)
+        for r in range(group.order)
+    ]
+    calls = []
+    apply = RMatrix.apply
+    monkeypatch.setattr(
+        RMatrix, "apply", lambda k, vec: calls.append(1) or apply(k, vec)
+    )
+    rng = random.Random(29)
+    for r in range(group.order):
+        g = GroupElement(group, (1, 2), r)
+        assert eigenspace_action(group, g, p) == reference[r]
+        assert eigenspace_action(group, random_element(group, rng), p)
+    assert not calls
+    fresh = builtin("dihedral:4")
+    m = InducedModel.build(imag_weight(fresh, (1, 2)))
+    p = intertwiner(m, m.fixed_vector())
+    calls.clear()
+    for _ in range(3):
+        eigenspace_action(fresh, GroupElement(fresh, (0, 1), 5), p)
+    assert len(calls) == len(p.waves)
+
+
 # -- eigenvalue checks -------------------------------------------------------------
 
 
@@ -401,6 +441,51 @@ def test_corrupted_phase_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(eigenspace, "_phases", corrupt_first_row)
     with pytest.raises(InternalConsistencyError):
         dual_cyclic_check(m, samples)
+
+
+def reference_phases(exponents, precision):
+    """Reference for `_phases`: e^s by mpmath at scale 2^P, P =
+    precision + 10, each angle embedded with four more bits than its
+    integer part has and the cosine and sine truncated toward zero."""
+    bits = precision + 10
+    out = []
+    for s in exponents:
+        extra = (sum(map(abs, s.nums.values())) // s.den).bit_length() + 4
+        with mpmath.workprec(bits + extra):
+            c, si = mpmath.cos_sin(s.embed(bits + extra).imag)
+        out.append((int(mpmath.ldexp(c, bits)), int(mpmath.ldexp(si, bits))))
+    return out
+
+
+@st.composite
+def imaginary_exponents(draw):
+    """Purely imaginary s = r (x - conj x) with x in Q(zeta_m) and |s| up to
+    about 10^6, or i p/q with p/q the best approximation of k pi/2 with
+    q up to 1, 10^3, 10^9 or 10^15."""
+    if draw(st.booleans()):
+        m = draw(st.sampled_from((4, 20, 28, 60, 396)))
+        terms = draw(
+            st.dictionaries(st.integers(0, m - 1), st.integers(-9, 9), min_size=1, max_size=4)
+        )
+        x = Cyclotomic(m, terms)
+        # |x - conj x| <= 72, so |s| < 10^6
+        r = Fraction(draw(st.integers(-13_000, 13_000)), draw(st.integers(1, 10**6)))
+        return (x - x.conj()) * r
+    k = draw(st.integers(-636_000, 636_000))
+    limit = draw(st.sampled_from((1, 10**3, 10**9, 10**15)))
+    with mpmath.workprec(200):
+        near = Fraction(mpmath.nstr(k * mpmath.pi / 2, 60, strip_zeros=False))
+    return I * near.limit_denominator(limit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(imaginary_exponents(), min_size=1, max_size=3), st.integers(64, 1024))
+def test_phases_match_the_mpmath_reference(exponents, precision):
+    from refleig.eigenspace import _phases
+
+    got = _phases(exponents, precision)
+    for (a, b), (ra, rb) in zip(got, reference_phases(exponents, precision)):
+        assert abs(a - ra) <= 2 and abs(b - rb) <= 2
 
 
 def reference_dual_rows(m, samples, precision=128):
