@@ -8,7 +8,7 @@ motion group by exact rank and commutant computations.
 
 __version__ = "0.1.0"
 
-from .cyclotomic import Cyclotomic, E, I_UNIT, Rational, cyc, embed_complex
+from .cyclotomic import Cyclotomic, E, I_UNIT, Rational, cyc
 from .groups import (
     GroupElement,
     RMatrix,

@@ -22,11 +22,10 @@ Q(zeta_{m/p}) is closed form, with no linear solve:
 Coordinates are integer numerators over one denominator den > 0 with
 gcd(den, *nums) = 1 (H. Cohen, GTM 138, section 4.2), so the arithmetic runs
 on ints; `Fraction` appears only at the boundary.  Nothing here is floating
-point: `embed_fixed` and `cis_fixed` give values and phases as integers at a
-scale 2^q, and only the public `embed` and `embed_complex` return mpmath
-numbers, importing mpmath when called.  `Reduction`, last in the module,
-maps values into a prime field F_p; it is the one modular reduction behind
-every rank certified mod p.
+point: `Cyclotomic.embed` and `cis_fixed` give values and phases as integers
+at a scale 2^q.  `Reduction`, last in the module, maps values into a prime
+field F_p; it is the one modular reduction behind every rank certified
+mod p.
 """
 
 from __future__ import annotations
@@ -490,29 +489,26 @@ class Cyclotomic:
 
     # -- numeric embedding ---------------------------------------------------
 
-    def embed(self, precision: int = 53):
-        """Value as an mpmath complex number at `precision` bits."""
-        import mpmath
+    def embed(self, q: int):
+        """The value at scale 2^q as a Gaussian integer (re, im), each part
+        within one unit of 2^(-q) and exact when the value is a rational
+        multiple of a power of i with an integer value at that scale.
 
+        The roots are read at sum |c_i| / den times more precision, so their
+        errors weighted by the coordinates stay below 1/4 unit.
+        """
         den = self.den
-        prec = precision + 10
-        with mpmath.workprec(prec):
-            acc = mpmath.mpc(0)
-            for i, c in self.nums.items():
-                # each coordinate in lowest terms, so that every term rounds
-                # exactly as the coordinate's own fraction would
-                g = _gcd(c, den)
-                acc += _root(i, self.order, prec) * mpmath.mpf(c // g) / (den // g)
-            return +acc
-
-
-@lru_cache(maxsize=None)
-def _root(i, m, prec):
-    """zeta_m^i = e^(2 pi i i / m) at `prec` bits."""
-    import mpmath
-
-    with mpmath.workprec(prec):
-        return mpmath.expjpi(mpmath.mpf(2 * i) / m)
+        nums = self.nums
+        total = sum(map(abs, nums.values()))
+        table = _table_scale(q + (total // den).bit_length() + 2)
+        roots = _root_table(self.order, table)
+        re = im = 0
+        for i, c in nums.items():
+            a, b = roots[i]
+            re += c * a
+            im += c * b
+        d = den << (table - q)
+        return (2 * re + d) // (2 * d), (2 * im + d) // (2 * d)
 
 
 def _coerce(x):
@@ -604,15 +600,6 @@ def cyc(x) -> Cyclotomic:
     if out is NotImplemented:
         raise TypeError(f"cannot interpret {x!r} as a cyclotomic value")
     return out
-
-
-def embed_complex(a: Cyclotomic, precision: int = 53):
-    """High-precision complex embedding, returned as an (re, im) mpf pair.
-
-    The absolute error is below 2^(-precision + 4).
-    """
-    z = a.embed(precision)
-    return (z.real, z.imag)
 
 
 # -- integer fixed-point embedding ----------------------------------------------
@@ -762,28 +749,6 @@ def _root_table(m: int, q: int):
         c, s = _quarter_turns(c, s, a)
         out.append((_round_shift(c, 4), _round_shift(s, 4)))
     return tuple(out)
-
-
-def embed_fixed(x: Cyclotomic, q: int):
-    """x at scale 2^q as a Gaussian integer (re, im), each part within one
-    unit of 2^(-q) and exact when x is a rational multiple of a power of i
-    with an integer value at that scale.
-
-    The roots are read at sum |c_i| / den times more precision, so their
-    errors weighted by the coordinates stay below 1/4 unit.
-    """
-    den = x.den
-    nums = x.nums
-    total = sum(map(abs, nums.values()))
-    table = _table_scale(q + (total // den).bit_length() + 2)
-    roots = _root_table(x.order, table)
-    re = im = 0
-    for i, c in nums.items():
-        a, b = roots[i]
-        re += c * a
-        im += c * b
-    d = den << (table - q)
-    return (2 * re + d) // (2 * d), (2 * im + d) // (2 * d)
 
 
 # -- reduction modulo a split prime ----------------------------------------------

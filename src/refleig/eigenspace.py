@@ -26,8 +26,7 @@ and both must agree.
 Both numeric routes work in integer fixed point at scale 2^(p + 10) for the
 working precision p, and both threshold at t = 2^(-(p // 2)).  One helper,
 `_phases`, embeds each e^s they need once, through the integer embedding of
-`cyclotomic` (`embed_fixed`, `cis_fixed`), within 5/8 of a unit; no
-certificate path imports mpmath, which only `FormalExp.embed` uses.  Rows
+`cyclotomic` (`Cyclotomic.embed`, `cis_fixed`), within 5/8 of a unit.  Rows
 built from those phases by `_dual_rows` stay within (2r + 1) units for r
 samples, far below t / 2^8, the tolerance of their cross-check against
 `model_act`.
@@ -48,12 +47,12 @@ from functools import cached_property
 from . import linalg
 from .cyclotomic import (
     Cyclotomic,
+    I_UNIT,
     ONE,
     Reduction,
     ZERO,
     cis_fixed,
     cyc,
-    embed_fixed,
 )
 from .errors import (
     InsufficientSamplesError,
@@ -222,15 +221,6 @@ class FormalExp:
         return FormalExp(
             {s.conj(): c.conj() for s, c in self.terms.items()}
         )
-
-    def embed(self, precision: int = 53):
-        import mpmath
-
-        with mpmath.workprec(precision + 10):
-            acc = mpmath.mpc(0)
-            for s, c in self.terms.items():
-                acc += c.embed(precision) * mpmath.exp(s.embed(precision))
-            return +acc
 
     def __repr__(self):
         from .parsing import format_scalar
@@ -403,7 +393,7 @@ def _phases(exponents, precision: int):
     """e^s for exact purely imaginary s, as integer pairs (re, im) at scale 2^P.
 
     P = precision + 10.  Each distinct exponent is embedded once: its angle
-    Im s by `embed_fixed` at scale 2^(P+4), within one unit there, and
+    Im s by `Cyclotomic.embed` at scale 2^(P+4), within one unit there, and
     e^s by `cis_fixed` at that scale, within one more unit.  Rounded to
     2^P, each part is within 5/8 of a unit however large |s| is.
     """
@@ -413,7 +403,7 @@ def _phases(exponents, precision: int):
     for s in exponents:
         z = seen.get(s)
         if z is None:
-            c, si = cis_fixed(embed_fixed(s, bits + 4)[1], bits + 4)
+            c, si = cis_fixed(s.embed(bits + 4)[1], bits + 4)
             z = seen[s] = ((c + 8) >> 4, (si + 8) >> 4)
         out.append(z)
     return out
@@ -529,28 +519,11 @@ def _dual_rows(m: InducedModel, samples, precision: int):
 # -- evaluation matrix ------------------------------------------------------------
 
 
-def evaluation_matrix(m: InducedModel, harmonics: HarmonicSpace, base_point=None):
-    """Matrix M[i][k] = H_i(mu_k), harmonics along rows, orbit along columns.
-
-    With the default base point 0 the entries are exact cyclotomic scalars.
-    A nonzero exact base point x0 multiplies column k by the formal unit
-    exp(<mu_k, x0>), so entries become FormalExp; either way the matrix is
-    exact.
-    """
-    basis = harmonics.flat_basis()
+def evaluation_matrix(m: InducedModel, harmonics: HarmonicSpace):
+    """Matrix M[i][k] = H_i(mu_k) of exact cyclotomic scalars, harmonics
+    along rows, orbit along columns (base point 0)."""
     cols = m.orbit.points
-    plain = [[h.evaluate(mu) for mu in cols] for h in basis]
-    if base_point is None or all(not cyc(x) for x in base_point):
-        return plain
-    x0 = [cyc(x) for x in base_point]
-    for x in x0:
-        if not x.is_real():
-            raise ValueError("base point entries must be real")
-    factors = [FormalExp.exp(linalg.dot(mu, x0)) for mu in cols]
-    return [
-        [factors[k] * FormalExp.constant(entry) for k, entry in enumerate(row)]
-        for row in plain
-    ]
+    return [[h.evaluate(mu) for mu in cols] for h in harmonics.flat_basis()]
 
 
 def _evaluate_mod(terms, powers, p):
@@ -683,47 +656,20 @@ def zero_weight(group) -> Weight:
     return Weight(group, (ZERO,) * group.dimension)
 
 
-def random_generic_weight(group, rng, bound: int = 9, max_tries: int = 1000) -> Weight:
-    """Random purely imaginary weight with trivial stabilizer."""
-    from .cyclotomic import E
+_WEIGHT_BOUND = 9
+_WEIGHT_TRIES = 1000
 
-    i_unit = E(4)
-    for _ in range(max_tries):
+
+def random_generic_weight(group, rng) -> Weight:
+    """Random purely imaginary weight with trivial stabilizer: i times an
+    integer vector in [-_WEIGHT_BOUND, _WEIGHT_BOUND]^n, drawn at most
+    _WEIGHT_TRIES times."""
+    for _ in range(_WEIGHT_TRIES):
         entries = tuple(
-            i_unit * rng.randint(-bound, bound) for _ in range(group.dimension)
+            I_UNIT * rng.randint(-_WEIGHT_BOUND, _WEIGHT_BOUND)
+            for _ in range(group.dimension)
         )
         w = Weight(group, entries)
         if not w.is_zero() and is_generic(w):
             return w
     raise InternalConsistencyError("could not sample a generic weight")
-
-
-def degenerate_weight(group, rng, bound: int = 9, max_tries: int = 1000) -> Weight:
-    """Nonzero weight fixed by some pseudo-reflection (hence non-generic)."""
-    from .cyclotomic import E
-
-    reflections = group.reflections()
-    if not reflections:
-        raise ValueError("group has no pseudo-reflections")
-    i_unit = E(4)
-    for _ in range(max_tries):
-        s = reflections[rng.randrange(len(reflections))]
-        n = group.dimension
-        diff = [
-            [s.rows[i][j] - ONE if i == j else s.rows[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-        fixed = linalg.nullspace(diff, n, ONE)
-        entries = [ZERO] * n
-        for vec in fixed:
-            c = rng.randint(-bound, bound)
-            if c:
-                entries = [e + cyc(c) * x for e, x in zip(entries, vec)]
-        w = Weight(group, tuple(i_unit * e for e in entries))
-        if not w.is_zero():
-            if is_generic(w):
-                raise InternalConsistencyError(
-                    "reflection-fixed weight cannot be generic"
-                )
-            return w
-    raise InternalConsistencyError("could not sample a degenerate weight")

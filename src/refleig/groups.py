@@ -251,8 +251,17 @@ def closure(generators, max_order=DEFAULT_MAX_ORDER, dimension=None, name=None):
         if not det:
             raise ValueError("generators must be invertible")
         # finite order: eigenvalues are roots of unity, so the characteristic
-        # polynomial is integral on the power basis and |det| = 1
-        if any(c.den != 1 for c in coeffs) or det * det.conj() != ONE:
+        # polynomial is integral on the power basis, |det| = 1, and the
+        # coefficient of s^k, a signed elementary symmetric function of n
+        # roots of unity, has modulus at most C(n, k)
+        if (
+            any(c.den != 1 for c in coeffs)
+            or det * det.conj() != ONE
+            or any(
+                c.is_rational() and abs(c.to_fraction()) > math.comb(n, k)
+                for k, c in enumerate(coeffs)
+            )
+        ):
             raise GroupClosureError(f"generator {g.text()} has infinite order")
     ident = RMatrix.identity(n)
     elements = [ident]
@@ -539,7 +548,3 @@ def g_inverse(a: GroupElement) -> GroupElement:
     moved = inv_mat.apply(a.translation)
     trans = tuple(-x for x in moved)
     return GroupElement(a.group, trans, inv_rot)
-
-
-def g_identity(group: ReflectionGroup) -> GroupElement:
-    return GroupElement(group, (ZERO,) * group.dimension, 0)

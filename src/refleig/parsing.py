@@ -8,6 +8,7 @@ text that parses back to an equal value.
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, E, cyc
@@ -188,20 +189,29 @@ def parse_scalar(text: str) -> Cyclotomic:
     return poly.constant_value()
 
 
+def _format_rational(q: Fraction) -> str:
+    """str(q), exact also past the interpreter's int-to-str digit limit:
+    `Decimal` formats an integer of any length."""
+    text = str(Decimal(q.numerator))
+    if q.denominator != 1:
+        text += "/" + str(Decimal(q.denominator))
+    return text
+
+
 def format_scalar(c: Cyclotomic) -> str:
     if c.order == 1:
-        return str(c.to_fraction())
+        return _format_rational(c.to_fraction())
     parts = []
     for exp in sorted(c.coeffs):
         q = c.coeffs[exp]
         if exp == 0:
-            body = str(abs(q))
+            body = _format_rational(abs(q))
         else:
             base = f"E({c.order})" if exp == 1 else f"E({c.order})^{exp}"
             if abs(q) == 1:
                 body = base
             else:
-                body = f"{abs(q)}*{base}"
+                body = f"{_format_rational(abs(q))}*{base}"
         if not parts:
             parts.append(body if q > 0 else f"-{body}")
         else:

@@ -122,10 +122,6 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def is_homogeneous(self):
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
-
     def constant_value(self):
         return self.terms.get((0,) * self.nvars, ZERO)
 

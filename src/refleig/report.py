@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .cyclotomic import embed_fixed
 from .eigenspace import (
     InducedModel,
     FormalExp,
@@ -84,6 +83,7 @@ MAX_PRECISION = 1 << 10
 MAX_DEGREE = 10_000
 
 BATTERY_GENERIC = 5  # random generic weights, then zero, by default
+EQUIVARIANCE_TRIALS = 20  # random motions per weight
 
 
 @dataclass
@@ -93,7 +93,6 @@ class PipelineConfig:
     max_degree: int | None = None
     precision: int = 128
     seed: int = 0
-    equivariance_trials: int = 20
     collect_timings: bool = False
 
     def __post_init__(self):
@@ -185,9 +184,9 @@ def parse_weight(group, text) -> Weight:
         raise ParseError(str(exc)) from exc
 
 
-def _equivariance_battery(m: InducedModel, rng, trials) -> bool:
+def _equivariance_battery(m: InducedModel, rng) -> bool:
     group = m.group
-    for _ in range(trials):
+    for _ in range(EQUIVARIANCE_TRIALS):
         g = GroupElement(
             group,
             tuple(rng.randint(-5, 5) for _ in range(group.dimension)),
@@ -223,15 +222,15 @@ def _commutant_translations(m: InducedModel):
 def _twice_abs_exponent(x) -> int:
     """The least k with 2^k >= 2 |x| for a nonzero cyclotomic x.
 
-    |x|^2 is read as re^2 + im^2 from `embed_fixed`, at a scale where |x| is
-    at least 2^62 units.  The scale starts 64 bits past the denominator's,
-    so a rational multiple of a power of i, such as a coordinate of a weight
-    in Q(i)^n, embeds exactly, and a modulus that is a power of two is found
-    exactly.
+    |x|^2 is read as re^2 + im^2 from `Cyclotomic.embed`, at a scale where
+    |x| is at least 2^62 units.  The scale starts 64 bits past the
+    denominator's, so a rational multiple of a power of i, such as a
+    coordinate of a weight in Q(i)^n, embeds exactly, and a modulus that is
+    a power of two is found exactly.
     """
     q = 64 + x.den.bit_length()
     while True:
-        re, im = embed_fixed(x, q)
+        re, im = x.embed(q)
         norm = re * re + im * im
         if norm >> 124:
             # 4 |x|^2 <= 4^(k+q) holds first at 2(k + q) = bit_length(4 norm - 1)
@@ -248,7 +247,7 @@ def eigenspace_section(group, invariants, harmonics, w: Weight, config: Pipeline
     )
     orbit_wave = intertwiner(m, m.fixed_vector())
     eigen_ok = eigen_check(orbit_wave, invariants, w)
-    equivariance_ok = _equivariance_battery(m, rng, config.equivariance_trials)
+    equivariance_ok = _equivariance_battery(m, rng)
     dual_samples = dual_sample_elements(m, rng)
     dual_ok = dual_cyclic_check(m, dual_samples, precision=config.precision)
     certified = (
@@ -267,7 +266,7 @@ def eigenspace_section(group, invariants, harmonics, w: Weight, config: Pipeline
         "evaluation_rank": rank,
         "commutant_dim": commutant,
         "eigen_check": eigen_ok,
-        "equivariance_trials": config.equivariance_trials,
+        "equivariance_trials": EQUIVARIANCE_TRIALS,
         "equivariance": equivariance_ok,
         "dual_cyclic": dual_ok,
         "eigenvalues": [

@@ -19,7 +19,6 @@ from refleig.eigenspace import (
     FormalExp,
     Weight,
     commutant_dimension,
-    degenerate_weight,
     equivariance_check,
     evaluation_rank,
     intertwiner,
@@ -39,7 +38,7 @@ from refleig.polynomials import (
 from refleig.report import CONVENTION_NOTE, PipelineConfig, eigenspace_section
 from refleig.series import extract_degrees, harmonic_hilbert, molien
 
-from conftest import REFLECTION_BATTERY
+from conftest import REFLECTION_BATTERY, degenerate_weight
 
 I = E(4)
 

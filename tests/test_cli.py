@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from refleig import __version__, report
 from refleig.cli import main
-from refleig.cyclotomic import ORDER_CAP
-from refleig.eigenspace import InducedModel
+from refleig.cyclotomic import I_UNIT, ORDER_CAP
+from refleig.eigenspace import InducedModel, Weight, invariant_eigenvalues
 from refleig.groups import (
     DEFAULT_MAX_ORDER,
     MAX_ROTATION_ORDER,
@@ -177,6 +178,25 @@ def test_commutant_translations_are_pinned(spec, weight, scale):
     group = builtin(spec)
     m = InducedModel.build(report.parse_weight(group, weight))
     assert report._commutant_translations(m) == [(scale, 0), (0, scale)]
+
+
+def test_eigenvalues_past_the_int_to_str_limit_print_exactly(capsys, pipeline):
+    # the degree-3 eigenvalue has 5727 digits, past the 4300 that str() of
+    # an int allows; it is read back through Decimal, which has no limit
+    code, rep, _ = run_json(
+        capsys,
+        "eigenspace", "--builtin", "dihedral:3",
+        "--weight", "i*3^4000, 2*i*3^4000",
+    )
+    assert code == 0
+    (section,) = rep["eigenspace"]
+    assert section["status"] == "certified"
+    (value,) = [e["value"] for e in section["eigenvalues"] if e["degree"] == 3]
+    coeff, unit = value.split("*")
+    assert unit == "E(4)"
+    group, invariants, _ = pipeline("dihedral:3")
+    w = Weight(group, (I_UNIT * 3**4000, I_UNIT * 2 * 3**4000))
+    assert invariant_eigenvalues(invariants, w)[1] == I_UNIT * int(Decimal(coeff))
 
 
 def test_eigenspace_requires_weight(capsys):
@@ -549,11 +569,13 @@ def test_module_entry_point():
 
 
 def test_no_subcommand_imports_mpmath():
-    # mpmath only serves the public `embed` methods; a None entry in
-    # sys.modules makes any import of it raise
+    # mpmath is a test dependency only; a None entry in sys.modules makes
+    # any import of it raise
     code = """
 import contextlib, io, sys
 sys.modules["mpmath"] = None
+from refleig import *
+assert E(4).embed(8) == (0, 256) and Cyclotomic.embed(E(8), 64)[0] > 0
 from refleig.cli import main
 for argv in (["info"], ["molien"], ["invariants"], ["harmonics"],
              ["eigenspace", "--weight", "i*1, i*2"], ["verify-all"]):

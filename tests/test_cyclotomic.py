@@ -13,6 +13,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import embed_complex, mp_embed
 from refleig.cyclotomic import (
     Cyclotomic,
     E,
@@ -28,8 +29,6 @@ from refleig.cyclotomic import (
     _reduce,
     cis_fixed,
     cyclotomic_polynomial,
-    embed_complex,
-    embed_fixed,
     euler_phi,
 )
 from refleig.errors import InternalConsistencyError, OrderLimitError
@@ -505,7 +504,7 @@ def test_integer_kernel_matches_the_fraction_reference(ta, tb):
         assert hash(x) == _ref_hash(rx)
         assert _canonical(-x) == _ref_neg(rx)
         assert _canonical(x.conj()) == _ref_conj(rx)
-        assert x.embed(128) == _ref_embed(rx, 128)
+        assert mp_embed(x, 128) == _ref_embed(rx, 128)
         if x:
             assert _canonical(x.inverse()) == _ref_inverse(rx)
     for value, ref in (
@@ -515,7 +514,7 @@ def test_integer_kernel_matches_the_fraction_reference(ta, tb):
     ):
         assert _canonical(value) == ref
         assert hash(value) == _ref_hash(ref)
-        assert value.embed(128) == _ref_embed(ref, 128)
+        assert mp_embed(value, 128) == _ref_embed(ref, 128)
 
 
 # -- integer fixed-point embedding -------------------------------------------------
@@ -554,8 +553,8 @@ def test_fixed_cis_is_within_one_unit(q, whole, frac, quarter):
 @given(kernel_terms(), st.sampled_from([64, 138, 1034]))
 def test_fixed_embedding_is_within_one_unit(terms, q):
     x = Cyclotomic(*terms)
-    re, im = embed_fixed(x, q)
-    z = x.embed(q + 40)
+    re, im = x.embed(q)
+    z = mp_embed(x, q + 40)
     with mpmath.workprec(q + 40):
         assert abs(re - _units(z.real, q)) <= 1
         assert abs(im - _units(z.imag, q)) <= 1
@@ -571,4 +570,4 @@ def test_fixed_embedding_is_within_one_unit(terms, q):
     ],
 )
 def test_fixed_embedding_is_exact_at_the_quarter_turns(x, re, im):
-    assert embed_fixed(x, 100) == (re * 2**100, im * 2**100)
+    assert x.embed(100) == (re * 2**100, im * 2**100)

@@ -14,7 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REFLECTION_BATTERY
+from conftest import (
+    REFLECTION_BATTERY,
+    degenerate_weight,
+    mp_embed,
+    mp_embed_formal,
+)
 from refleig import linalg
 from refleig.cyclotomic import (
     Cyclotomic,
@@ -36,7 +41,6 @@ from refleig.eigenspace import (
     PlaneWaveSum,
     Weight,
     commutant_dimension,
-    degenerate_weight,
     dual_cyclic_check,
     dual_sample_elements,
     eigen_check,
@@ -188,8 +192,8 @@ def test_formal_conj_is_ring_map(a, b):
 @given(formal_sums(), formal_sums())
 def test_formal_embed_is_multiplicative(a, b):
     with mpmath.workprec(130):
-        lhs = (a * b).embed(120)
-        rhs = a.embed(120) * b.embed(120)
+        lhs = mp_embed_formal(a * b, 120)
+        rhs = mp_embed_formal(a, 120) * mp_embed_formal(b, 120)
         assert abs(lhs - rhs) < mpmath.mpf(2) ** -80
 
 
@@ -452,7 +456,7 @@ def reference_phases(exponents, precision):
     for s in exponents:
         extra = (sum(map(abs, s.nums.values())) // s.den).bit_length() + 4
         with mpmath.workprec(bits + extra):
-            c, si = mpmath.cos_sin(s.embed(bits + extra).imag)
+            c, si = mpmath.cos_sin(mp_embed(s, bits + extra).imag)
         out.append((int(mpmath.ldexp(c, bits)), int(mpmath.ldexp(si, bits))))
     return out
 
@@ -494,7 +498,10 @@ def reference_dual_rows(m, samples, precision=128):
     u = m.fixed_vector()
     with mpmath.workprec(precision + 10):
         return [
-            [mpmath.conj(entry.embed(precision)) for entry in model_act(m, g, u)]
+            [
+                mpmath.conj(mp_embed_formal(entry, precision))
+                for entry in model_act(m, g, u)
+            ]
             for g in samples
         ]
 
@@ -663,21 +670,6 @@ def test_evaluation_matrix_is_exact_at_origin(pipeline):
             assert mat[i][k] == h.evaluate(orb.points[k])
 
 
-def test_evaluation_matrix_base_point_units(pipeline):
-    group, _, harmonics = pipeline("dihedral:3")
-    m = InducedModel.build(imag_weight(group, (1, 2)))
-    plain = evaluation_matrix(m, harmonics)
-    shifted = evaluation_matrix(m, harmonics, base_point=(1, -2))
-    orb = orbit(m.weight)
-    x0 = (cyc(1), cyc(-2))
-    for i in range(len(plain)):
-        for k in range(group.order):
-            unit = FormalExp.exp(linalg.dot(orb.points[k], x0))
-            assert shifted[i][k] == unit * FormalExp.constant(plain[i][k])
-    with pytest.raises(ValueError):
-        evaluation_matrix(m, harmonics, base_point=(I, ZERO))
-
-
 def test_evaluation_rank_counts_distinct_orbit_points(pipeline):
     # harmonics restrict onto any orbit surjectively, so the rank always
     # equals the number of distinct orbit points
@@ -830,7 +822,7 @@ def dense_commutant_dim(m):
     for j in range(group.dimension):
         diag = [[0j] * n for _ in range(n)]
         for h in range(n):
-            diag[h][h] = cmath.exp(-complex(m.orbit.points[h][j].embed()))
+            diag[h][h] = cmath.exp(-complex(mp_embed(m.orbit.points[h][j])))
         mats.append(diag)
     rows = []
     for mat in mats:

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from refleig.cyclotomic import E, cyc
+from conftest import embed_complex
+from refleig.cyclotomic import E, ZERO, cyc
 from refleig.errors import (
     GroupClosureError,
     NonOrthogonalError,
@@ -17,7 +18,6 @@ from refleig.groups import (
     RMatrix,
     builtin,
     closure,
-    g_identity,
     g_inverse,
     g_multiply,
     is_pseudo_reflection,
@@ -97,9 +97,14 @@ def test_infinite_group_hits_bound():
 
 
 def test_generators_of_infinite_order_are_refused_before_closure():
-    # a non-integral characteristic polynomial (trace 1/3, det 1) and a
-    # determinant of absolute value 2: each took seconds to hit the bound
-    for rows in ([[0, 1], [-1, Fraction(1, 3)]], [[2, 0], [0, 1]]):
+    # a non-integral characteristic polynomial (trace 1/3, det 1), a
+    # determinant of absolute value 2, and an integral one with trace 3 >
+    # C(2, 1) = 2: each took a second or more to hit the bound
+    for rows in (
+        [[0, 1], [-1, Fraction(1, 3)]],
+        [[2, 0], [0, 1]],
+        [[2, 1], [1, 1]],
+    ):
         g = RMatrix([[cyc(x) for x in row] for row in rows])
         with pytest.raises(GroupClosureError, match="infinite order"):
             closure([g])
@@ -187,8 +192,6 @@ def test_dihedral_rotation_entries_embed_correctly():
 
     group = builtin("dihedral:5")
     rot = group.elements[group.generator_indices[0]]
-    from refleig.cyclotomic import embed_complex
-
     re, im = embed_complex(rot.rows[0][0])
     assert abs(re - mpmath.cos(2 * mpmath.pi / 5)) < 1e-14
     assert abs(im) < 1e-14
@@ -224,7 +227,7 @@ def test_motion_group_associativity(a, b, c):
 @settings(max_examples=60, deadline=None)
 @given(motion_elements(_D4))
 def test_motion_group_inverse(a):
-    e = g_identity(_D4)
+    e = GroupElement(_D4, (ZERO, ZERO), 0)
     assert g_multiply(a, g_inverse(a)) == e
     assert g_multiply(g_inverse(a), a) == e
     assert g_multiply(a, e) == a
