@@ -31,6 +31,7 @@ mod p.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -68,6 +69,16 @@ def prime_factors(m: int) -> tuple[int, ...]:
     if k > 1:
         out.append(k)
     return tuple(out)
+
+
+def _ramanujan_sum(m: int, i: int) -> int:
+    """c_m(i), the sum of the i-th powers of the primitive m-th roots of
+    unity: mu(d) phi(m) / phi(d) with d = m / gcd(m, i)."""
+    d = m // _gcd(m, i)
+    ps = prime_factors(d)
+    if math.prod(ps) != d:  # d is not squarefree: mu(d) = 0
+        return 0
+    return (-1) ** len(ps) * (euler_phi(m) // euler_phi(d))
 
 
 def _int_poly_div_exact(num, den):
@@ -252,8 +263,10 @@ class Cyclotomic:
         if order < 1:
             raise ValueError("cyclotomic order must be >= 1")
         if order > ORDER_CAP:
+            # Decimal prints an order of any length (a parsed E(m) may
+            # have more digits than str() of an int allows)
             raise OrderLimitError(
-                f"order {order} exceeds cap {ORDER_CAP}"
+                f"order {Decimal(order)} exceeds cap {ORDER_CAP}"
             )
         den = 1
         for c in terms.values():
@@ -301,8 +314,10 @@ class Cyclotomic:
     def __hash__(self):
         if self._hash is None:
             if self.order == 1:
-                # equal to an int or Fraction, so it must hash like one
-                self._hash = hash(self.to_fraction())
+                # equal to an int or Fraction, so it must hash like one;
+                # hash(Fraction(n, 1)) is hash(n), so an integer needs none
+                n = self.nums.get(0, 0)
+                self._hash = hash(n) if self.den == 1 else hash(Fraction(n, self.den))
             else:
                 self._hash = hash((self.order, self.den, frozenset(self.nums.items())))
         return self._hash
@@ -477,6 +492,11 @@ class Cyclotomic:
             base = base * base
             k >>= 1
         return result
+
+    def trace(self) -> Fraction:
+        """The sum of the phi(m) conjugates of the value, m its order."""
+        total = sum(c * _ramanujan_sum(self.order, i) for i, c in self.nums.items())
+        return Fraction(total, self.den)
 
     def conj(self) -> "Cyclotomic":
         """Complex conjugation: the Galois map zeta -> zeta^(-1)."""

@@ -4,11 +4,15 @@ Groups are enumerated by breadth-first closure from exact generator matrices;
 the resulting element order is deterministic (identity first, then insertion
 order of the search) and several downstream indices depend on it.  Closure
 is the only place elements are multiplied as matrices; every other product
-is read from the table of element-by-generator products it keeps.  The
-pseudo-reflection test is exact rank(M - I) = 1, ruled out mod p first for
-most elements.  The group-level test checks that the generators are
-orthogonal (so every element is) and that the reflections generate the
-group, by a search over element indices.
+is read from the table of element-by-generator products it keeps.
+
+Closure forms |K| times (number of generators) products.  `linalg.mat_mul`
+multiplies only nonzero entries, so a signed-permutation product costs about
+n^2 entry tests and n scalar products instead of n^3 products; a dense
+planar rotation still costs all 8.  The pseudo-reflection test is exact
+rank(M - I) = 1, ruled out mod p first for most elements.  The group-level
+test checks that the generators are orthogonal (so every element is) and
+that the reflections generate the group, by a search over element indices.
 
 Elements of the motion group R^n x| K are (translation, rotation) pairs with
 the semidirect multiplication (x1, k1)(x2, k2) = (x1 + k1 x2, k1 k2).
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cyclotomic import E, ONE, Reduction, ZERO, cyc
+from .cyclotomic import E, ONE, Reduction, ZERO, cyc, euler_phi
 from .errors import (
     GroupClosureError,
     InternalConsistencyError,
@@ -52,6 +56,15 @@ class RMatrix:
         self._hash = None
 
     @staticmethod
+    def _of(rows, n):
+        """An n x n matrix from Cyclotomic row lists, not coerced again."""
+        m = object.__new__(RMatrix)
+        m.dimension = n
+        m.rows = tuple(map(tuple, rows))
+        m._hash = None
+        return m
+
+    @staticmethod
     def identity(n):
         return RMatrix(
             [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
@@ -70,7 +83,10 @@ class RMatrix:
     def __mul__(self, other):
         if not isinstance(other, RMatrix):
             return NotImplemented
-        return RMatrix(linalg.mat_mul(self.rows, other.rows))
+        if other.dimension != self.dimension:
+            raise ValueError("matrices of different dimensions")
+        # a product of Cyclotomic rows has Cyclotomic entries already
+        return RMatrix._of(linalg.mat_mul(self.rows, other.rows), self.dimension)
 
     def __repr__(self):
         return f"RMatrix({self.text()})"
@@ -232,6 +248,12 @@ class ReflectionGroup:
         ]
 
 
+def _mean_square(c):
+    """The mean of |sigma(c)|^2 over the embeddings sigma of c's field."""
+    norm = c * c.conj()
+    return norm.trace() / euler_phi(norm.order)
+
+
 def closure(generators, max_order=DEFAULT_MAX_ORDER, dimension=None, name=None):
     """Breadth-first closure of the generators into a full group.
 
@@ -252,13 +274,15 @@ def closure(generators, max_order=DEFAULT_MAX_ORDER, dimension=None, name=None):
             raise ValueError("generators must be invertible")
         # finite order: eigenvalues are roots of unity, so the characteristic
         # polynomial is integral on the power basis, |det| = 1, and the
-        # coefficient of s^k, a signed elementary symmetric function of n
-        # roots of unity, has modulus at most C(n, k)
+        # coefficient c of s^k, a signed elementary symmetric function of n
+        # roots of unity, has modulus at most C(n, k) in every embedding;
+        # so has the root mean square over the embeddings, read exactly as
+        # Tr(c conj(c)) / phi(m) for c c* in Q(zeta_m)
         if (
             any(c.den != 1 for c in coeffs)
             or det * det.conj() != ONE
             or any(
-                c.is_rational() and abs(c.to_fraction()) > math.comb(n, k)
+                _mean_square(c) > math.comb(n, k) ** 2
                 for k, c in enumerate(coeffs)
             )
         ):

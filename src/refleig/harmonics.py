@@ -96,15 +96,22 @@ def _exponent_solutions(degrees, target):
 
 
 def _generator_products(generators, degrees, target, nvars):
-    """Every power product of the generators of total degree `target`."""
-    out = []
-    for exps in _exponent_solutions(degrees, target):
-        prod = Poly.constant(nvars, ONE)
-        for gen, e in zip(generators, exps):
-            if e:
-                prod = prod * gen ** e
-        out.append(prod)
-    return out
+    """Every power product of the generators of total degree `target`.
+
+    Each product is built once from a memo: prod(e) = prod(e - e_j) g_j with
+    j the last nonzero exponent, so the products share their prefixes.
+    """
+    memo = {(0,) * len(generators): Poly.constant(nvars, ONE)}
+
+    def product(exps):
+        got = memo.get(exps)
+        if got is None:
+            j = max(i for i, e in enumerate(exps) if e)
+            lower = exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
+            got = memo[exps] = product(lower) * generators[j]
+        return got
+
+    return [product(exps) for exps in _exponent_solutions(degrees, target)]
 
 
 def _normalize_leading(p: Poly) -> Poly:

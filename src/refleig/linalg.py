@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over any field-like scalar.
+"""Exact linear algebra over any field-like scalar.
 
 Every routine works for scalars supporting +, -, *, /, == and truth-testing
 (zero is falsy): `fractions.Fraction` and `Cyclotomic` both qualify.  Matrices
@@ -11,10 +11,13 @@ numeric routine: it takes Gaussian-integer matrices in fixed point and works
 with exact integer arithmetic.
 
 Every exact sum in the package goes through one of two accumulators:
-`add_term` for sparse sums keyed by exponent, and `dot` for dense sums of
-products.  Neither ever adds into an exact zero, because each `Cyclotomic`
-addition is a full construction and canonicalization, and `ZERO + x` pays
-for one that changes nothing.
+`add_term` for sparse sums keyed by exponent or column, and `dot` for dense
+sums of products such as orbit pairings.  Neither ever adds into an exact
+zero, because each `Cyclotomic` addition is a full construction and
+canonicalization, and `ZERO + x` pays for one that changes nothing.
+`mat_mul` and `mat_vec` are row-sparse: they form only the products of two
+nonzero entries, so a product of signed-permutation matrices takes n scalar
+products, not n^3.
 """
 
 import operator
@@ -40,12 +43,37 @@ def dot(u, v):
 
 
 def mat_mul(a, b):
-    cols = list(zip(*b))
-    return [[dot(arow, col) for col in cols] for arow in a]
+    """The product a b of nonempty matrices.  Row i sums a[i][k] b[k] over
+    the nonzero a[i][k], touching only the nonzero entries of b[k]; an
+    entry with no such term is the field's zero, a[0][0] * 0."""
+    zero = a[0][0] * 0
+    ncols = len(b[0])
+    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for arow in a:
+        acc = {}
+        for x, brow in zip(arow, sparse_b):
+            if x:
+                for j, y in brow:
+                    add_term(acc, j, x * y)
+        out.append([acc.get(j, zero) for j in range(ncols)])
+    return out
 
 
 def mat_vec(a, v):
-    return [dot(row, v) for row in a]
+    """The product a v of a nonempty matrix and a vector, skipping every
+    pair with a zero factor; an entry with no nonzero pair is a[0][0] * 0."""
+    zero = a[0][0] * 0
+    terms = [(k, y) for k, y in enumerate(v) if y]
+    out = []
+    for row in a:
+        acc = None
+        for k, y in terms:
+            x = row[k]
+            if x:
+                acc = x * y if acc is None else acc + x * y
+        out.append(zero if acc is None else acc)
+    return out
 
 
 def rref(rows, ncols):

@@ -26,6 +26,11 @@ MAX_NESTING = 100
 # seconds and, nested, any amount of memory.
 MAX_POWER_BITS = 1 << 16
 
+# A numeral of this many decimal digits has fewer than MAX_POWER_BITS bits
+# (10^0.3 < 2); numerals are read through `Decimal`, which has no limit on
+# the digits of an int conversion, so this is the program's only bound.
+MAX_NUMERAL_DIGITS = MAX_POWER_BITS * 3 // 10
+
 
 def _tokenize(text):
     tokens = []
@@ -120,17 +125,30 @@ class _Parser:
                 base, k = Poly.constant(self.nvars, c.inverse()), -k
             # with D the product of the base's denominators and N the l1 norm
             # of its numerators, every coefficient of base^k is some n / d
-            # with |n| <= N^k and d | D^k: k log2(N D) bounds the bits
+            # with |n| <= N^k and d | D^k: k log2(N D) bounds the bits.  A k
+            # past the bound is too big for any N D >= 2, and is refused
+            # before k log2(N D) can overflow a float
             numer, denom = 0, 1
             for c in base.terms.values():
                 numer += sum(map(abs, c.nums.values()))
                 denom *= c.den
-            if numer and k * math.log2(numer * denom) > MAX_POWER_BITS:
+            size = numer * denom
+            if size > 1 and (
+                k > MAX_POWER_BITS or k * math.log2(size) > MAX_POWER_BITS
+            ):
                 raise ParseError(
                     f"power result would exceed {MAX_POWER_BITS} bits", at
                 )
             return base ** k
         return base
+
+    def numeral(self, tok, at):
+        """The value of a decimal numeral token, read exactly."""
+        if len(tok) > MAX_NUMERAL_DIGITS:
+            raise ParseError(
+                f"numeral has more than {MAX_NUMERAL_DIGITS} digits", at
+            )
+        return int(Decimal(tok))
 
     def signed_int(self):
         sign = 1
@@ -140,7 +158,7 @@ class _Parser:
         tok, at = self.next()
         if tok is None or not tok.isdigit():
             raise ParseError(f"expected integer exponent, found {tok!r}", at)
-        return sign * int(tok)
+        return sign * self.numeral(tok, at)
 
     def atom(self):
         tok, at = self.next()
@@ -157,13 +175,13 @@ class _Parser:
         if tok is None:
             raise ParseError("unexpected end of input", at)
         if tok.isdigit():
-            return Poly.constant(self.nvars, cyc(int(tok)))
+            return Poly.constant(self.nvars, cyc(self.numeral(tok, at)))
         if tok == "E":
             self.expect("(")
             mtok, mat = self.next()
             if mtok is None or not mtok.isdigit():
                 raise ParseError("E(m) requires an integer order", mat)
-            m = int(mtok)
+            m = self.numeral(mtok, mat)
             if m < 1:
                 raise ParseError("E(m) requires m >= 1", mat)
             self.expect(")")

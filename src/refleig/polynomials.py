@@ -229,21 +229,32 @@ def _image_power(k, i, e, powers):
     return got
 
 
-def _act(k, p, powers):
-    n = k.dimension
-    acc = Poly.zero(n)
+def _images(p, pairs):
+    """The sum of the images of p under each (k, powers) pair, as one sparse
+    dict of terms: each monomial's images are summed first and then scaled
+    by its coefficient once, all in place."""
+    out = {}
     for e, c in p.terms.items():
-        term = Poly.constant(n, c)
-        for i, exp in enumerate(e):
-            if exp:
-                term = term * _image_power(k, i, exp, powers)
-        acc = acc + term
-    return acc
+        acc = {}
+        for k, powers in pairs:
+            image = None
+            for i, exp in enumerate(e):
+                if exp:
+                    f = _image_power(k, i, exp, powers)
+                    image = f if image is None else image * f
+            if image is None:  # the constant monomial is fixed
+                linalg.add_term(acc, e, ONE)
+            else:
+                for te, tc in image.terms.items():
+                    linalg.add_term(acc, te, tc)
+        for te, tc in acc.items():
+            linalg.add_term(out, te, tc * c)
+    return out
 
 
 def act(k, p: Poly) -> Poly:
     """Action of the group element k on a polynomial (substitute k^T x)."""
-    return _act(k, p, {})
+    return Poly(p.nvars, _images(p, [(k, {})]), _clean=True)
 
 
 def reynolds(group, p: Poly) -> Poly:
@@ -252,10 +263,8 @@ def reynolds(group, p: Poly) -> Poly:
     Powers of substituted variables are memoized per group element in
     `group.action_powers`, so the memo lives exactly as long as the group.
     """
-    acc = Poly.zero(p.nvars)
-    for k, powers in zip(group.elements, group.action_powers):
-        acc = acc + _act(k, p, powers)
-    return acc * Fraction(1, len(group.elements))
+    pairs = list(zip(group.elements, group.action_powers))
+    return Poly(p.nvars, _images(p * Fraction(1, group.order), pairs), _clean=True)
 
 
 def diff_apply(op: Poly, f: Poly) -> Poly:

@@ -88,6 +88,36 @@ def mp_embed_formal(f, precision: int = 53):
         return +acc
 
 
+# -- dense and naive references ----------------------------------------------------
+
+
+def dense_mat_mul(a, b):
+    """The product a b with every entry a `linalg.dot` of a row and a column,
+    zeros included: the formulation `linalg.mat_mul` replaced."""
+    cols = list(zip(*b))
+    return [[linalg.dot(arow, col) for col in cols] for arow in a]
+
+
+def dense_mat_vec(a, v):
+    return [linalg.dot(row, v) for row in a]
+
+
+def naive_generator_products(generators, degrees, target, nvars):
+    """Every power product of total degree `target`, each built from scratch
+    from the powers g ** e: what `harmonics._generator_products` memoizes."""
+    from refleig.harmonics import _exponent_solutions
+    from refleig.polynomials import Poly
+
+    out = []
+    for exps in _exponent_solutions(degrees, target):
+        prod = Poly.constant(nvars, ONE)
+        for gen, e in zip(generators, exps):
+            if e:
+                prod = prod * gen ** e
+        out.append(prod)
+    return out
+
+
 # -- weights ---------------------------------------------------------------------
 
 

@@ -25,7 +25,7 @@ from refleig.groups import (
     _family_order,
     builtin,
 )
-from refleig.parsing import MAX_NESTING, MAX_POWER_BITS
+from refleig.parsing import MAX_NESTING, MAX_NUMERAL_DIGITS, MAX_POWER_BITS, parse_scalar
 from refleig.report import (
     MAX_DEGREE,
     MAX_PRECISION,
@@ -182,7 +182,9 @@ def test_commutant_translations_are_pinned(spec, weight, scale):
 
 def test_eigenvalues_past_the_int_to_str_limit_print_exactly(capsys, pipeline):
     # the degree-3 eigenvalue has 5727 digits, past the 4300 that str() of
-    # an int allows; it is read back through Decimal, which has no limit
+    # an int allows; it is read back through Decimal, which has no limit,
+    # and the parser reads numerals through Decimal too, so the printed
+    # value is a valid scalar text
     code, rep, _ = run_json(
         capsys,
         "eigenspace", "--builtin", "dihedral:3",
@@ -196,7 +198,27 @@ def test_eigenvalues_past_the_int_to_str_limit_print_exactly(capsys, pipeline):
     assert unit == "E(4)"
     group, invariants, _ = pipeline("dihedral:3")
     w = Weight(group, (I_UNIT * 3**4000, I_UNIT * 2 * 3**4000))
+    assert len(coeff) == 5727
     assert invariant_eigenvalues(invariants, w)[1] == I_UNIT * int(Decimal(coeff))
+    assert parse_scalar(value) == invariant_eigenvalues(invariants, w)[1]
+
+
+def test_numerals_past_the_digit_bound_are_a_usage_error(capsys):
+    # 5000 sevens were refused with a message naming the interpreter's
+    # int-to-str limit; up to MAX_NUMERAL_DIGITS they are read exactly
+    code, rep, _ = run_json(
+        capsys, "eigenspace", "--builtin", "dihedral:3", "--weight", f"i*{'7' * 5000}, 0"
+    )
+    assert code == 0
+    assert rep["eigenspace"][0]["weight"][0] == f"{'7' * 5000}*E(4)"
+    code, out, err = run_cli(
+        capsys, "eigenspace", "--builtin", "dihedral:3",
+        "--weight", f"i*{'7' * (MAX_NUMERAL_DIGITS + 1)}, 0",
+    )
+    assert code == 2
+    assert not out
+    assert err.startswith("error: ") and f"more than {MAX_NUMERAL_DIGITS} digits" in err
+    assert "sys." not in err
 
 
 def test_eigenspace_requires_weight(capsys):
@@ -237,7 +259,14 @@ def test_deep_nesting_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "weight", ["i*3^10000000", "((3^4096)^4096)^4096", "i*(1+i)^-70000"]
+    "weight",
+    [
+        "i*3^10000000",
+        "((3^4096)^4096)^4096",
+        "i*(1+i)^-70000",
+        # k log2(3) overflowed a float: a traceback, not a usage error
+        pytest.param(f"i*3^{'1' * 400}", id="i*3^(400 ones)"),
+    ],
 )
 def test_power_past_the_size_bound_is_a_usage_error(capsys, weight):
     code, _, _ = run_cli(
@@ -486,6 +515,21 @@ def test_malformed_group_file_is_usage(tmp_path, capsys):
         assert err.startswith("error:")
 
 
+def test_generator_with_a_large_non_rational_trace_is_refused_quickly(tmp_path, capsys):
+    # trace 3i, det 1, integral in Z[i]: it ran 0.9 to 1.3 s to the element
+    # bound; the mean of |sigma(3i)|^2 over the embeddings is 9 > C(2, 1)^2
+    path = tmp_path / "trace3i.json"
+    path.write_text(
+        json.dumps({"dimension": 2, "generators": [[["3*i", "-1"], ["1", "0"]]]})
+    )
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "info", "--group", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert not out
+    assert "infinite order" in err
+
+
 def test_singular_generator_is_usage(tmp_path, capsys):
     path = tmp_path / "singular.json"
     path.write_text(
@@ -597,9 +641,13 @@ for argv in (["info"], ["molien"], ["invariants"], ["harmonics"],
 # them, and as root-of-unity orders up to 10^6, which `ORDER_CAP` refuses, as
 # it refuses products of two roots whose lcm passes it.  Builtin specs draw
 # numerals of up to six digits, with or without underscores; `groups.builtin`
-# refuses any group past its size bounds before building it.
+# refuses any group past its size bounds before building it, and builds any
+# group inside them within `BUILTIN_SECONDS`.
 
 FUZZ_SECONDS = 2
+# The slowest in-bound builtin, symmetric:7 (|K| = 5040), loads in about
+# 2.1 s in-process on a 2-vCPU x86_64 machine; the bound leaves twice that.
+BUILTIN_SECONDS = 5
 
 _WEIGHT_TOKENS = (
     "i", "E(", "E", "(", ")", "^", "^-", "-", "+", "*", "/", ",", " ", "\t",
@@ -667,12 +715,12 @@ def _exit_code(argv):
     return code, err.getvalue()
 
 
-def _clean_exit(argv, codes=(0, 1, 2)):
+def _clean_exit(argv, codes=(0, 1, 2), seconds=FUZZ_SECONDS):
     """Exit code and stderr of `main(argv)`, which must end in one of
-    `codes`, with a message when nonzero, within `FUZZ_SECONDS`."""
+    `codes`, with a message when nonzero, within `seconds`."""
     start = time.perf_counter()
     code, err = _exit_code(argv)
-    assert time.perf_counter() - start < FUZZ_SECONDS, argv
+    assert time.perf_counter() - start < seconds, argv
     assert code in codes
     if code:
         assert err.strip()
@@ -696,7 +744,13 @@ def test_fuzz_root_products_past_the_cap_are_refused(group, orders):
 
 
 @pytest.mark.parametrize(
-    "weight", ["E(65520)-E(65520)^65519", "E(256)*E(255), 0", "E(64)*E(63), 0"]
+    "weight",
+    [
+        "E(65520)-E(65520)^65519",
+        "E(256)*E(255), 0",
+        "E(64)*E(63), 0",
+        pytest.param(f"E({'1' * 5000})", id="E(5000 ones)"),
+    ],
 )
 def test_orders_past_the_cap_are_refused_quickly(weight):
     group = "trivial:1" if "," not in weight else "dihedral:3"
@@ -791,7 +845,4 @@ def test_builtin_bounds_admit_the_largest_groups_below_them():
 @settings(max_examples=60, deadline=None)
 @given(_specs)
 def test_fuzz_builtin_specs_exit_cleanly(spec):
-    code, err = _exit_code(["info", f"--builtin={spec}"])
-    assert code in (0, 2)
-    if code:
-        assert err.strip()
+    _clean_exit(["info", f"--builtin={spec}"], codes=(0, 2), seconds=BUILTIN_SECONDS)

@@ -335,6 +335,21 @@ def test_rational_values_hash_like_the_numbers_they_equal():
         assert hash(cyc(q)) == hash(q) == hash(Fraction(q))
 
 
+@settings(max_examples=80, deadline=None)
+@given(scalars())
+def test_trace_is_the_sum_of_the_galois_conjugates(a):
+    m = a.order
+    conjugates = [
+        Cyclotomic(m, {i * k: c for i, c in a.coeffs.items()})
+        for k in range(1, m + 1)
+        if math.gcd(k, m) == 1
+    ]
+    assert len(conjugates) == euler_phi(m)
+    total = sum(conjugates, ZERO)
+    assert total.is_rational()
+    assert a.trace() == total.to_fraction()
+
+
 @pytest.mark.parametrize("bad", [0.5, 1.0, complex(0.5, 0), "1", Decimal("0.5"), None])
 def test_constructor_rejects_inexact_coefficients(bad):
     with pytest.raises(TypeError):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import embed_complex
+from conftest import dense_mat_mul, embed_complex
+from refleig import linalg
 from refleig.cyclotomic import E, ZERO, cyc
 from refleig.errors import (
     GroupClosureError,
@@ -14,8 +15,10 @@ from refleig.errors import (
     ParseError,
 )
 from refleig.groups import (
+    MAX_ROTATION_ORDER,
     GroupElement,
     RMatrix,
+    _permutation_matrix,
     builtin,
     closure,
     g_inverse,
@@ -23,6 +26,8 @@ from refleig.groups import (
     is_pseudo_reflection,
     is_pseudo_reflection_group,
     load_group_file,
+    reflection_matrix,
+    rotation_matrix,
 )
 
 
@@ -98,16 +103,49 @@ def test_infinite_group_hits_bound():
 
 def test_generators_of_infinite_order_are_refused_before_closure():
     # a non-integral characteristic polynomial (trace 1/3, det 1), a
-    # determinant of absolute value 2, and an integral one with trace 3 >
-    # C(2, 1) = 2: each took a second or more to hit the bound
+    # determinant of absolute value 2, an integral one with trace 3 >
+    # C(2, 1) = 2, and one with trace 3i, whose mean square 9 over the
+    # embeddings of Q(i) passes C(2, 1)^2: each took a second or more to
+    # hit the bound
     for rows in (
         [[0, 1], [-1, Fraction(1, 3)]],
         [[2, 0], [0, 1]],
         [[2, 1], [1, 1]],
+        [[3 * E(4), -1], [1, 0]],
     ):
         g = RMatrix([[cyc(x) for x in row] for row in rows])
         with pytest.raises(GroupClosureError, match="infinite order"):
             closure([g])
+
+
+def test_every_builtin_generator_passes_the_finite_order_test():
+    # closure stops at max_order = 1 on its first new element, so an error
+    # naming the element bound means every generator passed the test
+    gens = [
+        [rotation_matrix(n, 1), reflection_matrix(n, 0)]
+        for n in range(1, MAX_ROTATION_ORDER + 1)
+    ]
+    # a transposition of symmetric:7 and the sign flip of hyperoctahedral:5
+    gens += [[_permutation_matrix((1, 0, 2, 3, 4, 5, 6))], [_flip(5, {0})]]
+    for g in gens:
+        with pytest.raises(GroupClosureError, match="exceeded 1 elements"):
+            closure(g, max_order=1)
+    # elements of order 3 and 4 with entries in Q(zeta_3) and Q(i)
+    for rows in ([[E(3), 0], [0, E(3) ** 2]], [[0, E(4)], [E(4), 0]]):
+        with pytest.raises(GroupClosureError, match="exceeded 1 elements"):
+            closure([RMatrix(rows)], max_order=1)
+
+
+@pytest.mark.parametrize(
+    "spec", ["symmetric:4", "hyperoctahedral:3", "dihedral:5", "dihedral:7", "cyclic:5"]
+)
+def test_closure_with_the_dense_product_enumerates_identically(monkeypatch, spec):
+    sparse = builtin(spec)
+    monkeypatch.setattr(linalg, "mat_mul", dense_mat_mul)
+    dense = builtin(spec)
+    assert dense.elements == sparse.elements
+    assert dense.right == sparse.right
+    assert dense.reached == sparse.reached
 
 
 def test_bad_builtin_specs():

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import REFLECTION_BATTERY
+from conftest import REFLECTION_BATTERY, naive_generator_products
 from refleig import linalg
 from refleig.cyclotomic import ONE, ZERO, cyc
 from refleig.errors import InternalConsistencyError
@@ -307,6 +307,19 @@ def test_molien_bounded_search_matches_the_full_reynolds_loop(pipeline, spec):
     group, invariants, _ = pipeline(spec)
     reference = full_reynolds_generators(group, invariants.degrees.degrees)
     assert list(invariants.generators) == reference
+
+
+@pytest.mark.parametrize(
+    "spec", ("symmetric:4", "hyperoctahedral:3", "dihedral:5", "dihedral:7")
+)
+def test_memoized_generator_products_match_the_naive_powers(pipeline, spec):
+    group, invariants, _ = pipeline(spec)
+    gens = invariants.generators
+    degs = list(invariants.degrees)
+    for target in range(2 * max(degs) + 1):
+        assert _generator_products(
+            gens, degs, target, group.dimension
+        ) == naive_generator_products(gens, degs, target, group.dimension)
 
 
 def test_invariant_subspace_stops_at_the_molien_dimension():

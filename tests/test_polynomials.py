@@ -127,6 +127,29 @@ def test_sums_are_exact_and_store_no_zero(p, q, r):
     assert Poly.zero(2).evaluate(point) == 0
 
 
+def _substituted(k, p):
+    """p(k^T x) by `Poly.substitute`, a reference sharing no code with `act`."""
+    n = k.dimension
+    images = [
+        sum((Poly.variable(n, j) * k.rows[j][i] for j in range(n)), Poly.zero(n))
+        for i in range(n)
+    ]
+    return p.substitute(images)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polys())
+def test_reynolds_is_the_mean_of_the_images(p):
+    total = Poly.zero(2)
+    for k in _D5.elements:
+        image = act(k, p)
+        assert image == _substituted(k, p)
+        total = total + image
+    mean = reynolds(_D5, p)
+    assert mean == total * Fraction(1, _D5.order)
+    assert all(mean.terms.values())
+
+
 def test_reynolds_projects_onto_invariants():
     group = builtin("dihedral:6")
     r = reynolds(group, P("x1^2"))
