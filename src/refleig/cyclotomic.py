@@ -71,16 +71,6 @@ def prime_factors(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _ramanujan_sum(m: int, i: int) -> int:
-    """c_m(i), the sum of the i-th powers of the primitive m-th roots of
-    unity: mu(d) phi(m) / phi(d) with d = m / gcd(m, i)."""
-    d = m // _gcd(m, i)
-    ps = prime_factors(d)
-    if math.prod(ps) != d:  # d is not squarefree: mu(d) = 0
-        return 0
-    return (-1) ** len(ps) * (euler_phi(m) // euler_phi(d))
-
-
 def _int_poly_div_exact(num, den):
     # exact division of integer polynomials, low degree first
     num = list(num)
@@ -493,19 +483,20 @@ class Cyclotomic:
             k >>= 1
         return result
 
-    def trace(self) -> Fraction:
-        """The sum of the phi(m) conjugates of the value, m its order."""
-        total = sum(c * _ramanujan_sum(self.order, i) for i, c in self.nums.items())
-        return Fraction(total, self.den)
-
-    def conj(self) -> "Cyclotomic":
-        """Complex conjugation: the Galois map zeta -> zeta^(-1)."""
+    def galois(self, a: int) -> "Cyclotomic":
+        """The Galois map zeta -> zeta^a of Q(zeta_m), m the order, for a
+        prime to m; it keeps the conductor and the content, so the image is
+        canonical as it stands."""
         if self.order == 1:
             return self
-        vec = _reduce(self.order, {-i: c for i, c in self.nums.items()})
+        vec = _reduce(self.order, {a * i: c for i, c in self.nums.items()})
         return _new(
             self.order, {i: c for i, c in enumerate(vec) if c}, self.den
         )
+
+    def conj(self) -> "Cyclotomic":
+        """Complex conjugation: the Galois map zeta -> zeta^(-1)."""
+        return self.galois(-1)
 
     # -- numeric embedding ---------------------------------------------------
 

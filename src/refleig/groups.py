@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cyclotomic import E, ONE, Reduction, ZERO, cyc, euler_phi
+from .cyclotomic import E, ONE, Reduction, ZERO, cyc
 from .errors import (
     GroupClosureError,
     InternalConsistencyError,
@@ -157,6 +157,7 @@ class ReflectionGroup:
         self._inv = None
         self._reflection_flags = None
         self._action_powers = None
+        self._diagonal_characters = None
         self._rotated_points = None
 
     @property
@@ -211,6 +212,33 @@ class ReflectionGroup:
         return self._action_powers
 
     @property
+    def diagonal_characters(self):
+        """(L, (w_1, ..., w_n)) for each diagonal element other than the
+        identity, whose diagonal entries are zeta_L^(w_i).
+
+        Such an element scales the monomial x^e by zeta_L^(sum e_i w_i), so
+        the Reynolds image of x^e is zero unless that sum is 0 mod L.
+        """
+        if self._diagonal_characters is None:
+            n = self.dimension
+            exponents = {}
+            out = []
+            for m in self.elements[1:]:
+                rows = m.rows
+                if any(rows[i][j] for i in range(n) for j in range(n) if i != j):
+                    continue
+                roots = []
+                for i in range(n):
+                    x = rows[i][i]
+                    if x not in exponents:
+                        exponents[x] = _root_exponent(x)
+                    roots.append(exponents[x])
+                order = math.lcm(*(o for o, _ in roots))
+                out.append((order, tuple(j * (order // o) for o, j in roots)))
+            self._diagonal_characters = tuple(out)
+        return self._diagonal_characters
+
+    @property
     def rotated_points(self):
         """One memo per element for `eigenspace.eigenspace_action`: exponent
         vector mu -> elements[i] . mu, filled lazily."""
@@ -248,10 +276,37 @@ class ReflectionGroup:
         ]
 
 
-def _mean_square(c):
-    """The mean of |sigma(c)|^2 over the embeddings sigma of c's field."""
-    norm = c * c.conj()
-    return norm.trace() / euler_phi(norm.order)
+def _root_exponent(x):
+    """(o, j) with x = zeta_o^j for a root of unity x, as the diagonal
+    entries of a finite group's elements are: x = +-zeta_m^j with m its
+    conductor, and -zeta_m^j = zeta_2m^(2j + m)."""
+    m = x.order
+    for j in range(m):
+        z = E(m, j)
+        if z == x:
+            return m, j
+        if z == -x:
+            return 2 * m, 2 * j + m
+    raise InternalConsistencyError(f"diagonal entry {x!r} is not a root of unity")
+
+
+def _exceeds_in_some_embedding(c, bound):
+    """Whether |sigma(c)| > bound for some embedding sigma, read from each
+    Galois conjugate's `Cyclotomic.embed` at 64 bits.
+
+    Each part is within one unit there, so the modulus is within sqrt 2
+    units, and a conjugate is counted only when it passes bound + 2 units;
+    a value with every |sigma(c)| <= bound is never counted.
+    """
+    q = 64
+    limit = (bound << q) + 2
+    m = c.order
+    for a in range(1, m + 1):
+        if math.gcd(a, m) == 1:
+            re, im = c.galois(a).embed(q)
+            if re * re + im * im > limit * limit:
+                return True
+    return False
 
 
 def closure(generators, max_order=DEFAULT_MAX_ORDER, dimension=None, name=None):
@@ -275,14 +330,12 @@ def closure(generators, max_order=DEFAULT_MAX_ORDER, dimension=None, name=None):
         # finite order: eigenvalues are roots of unity, so the characteristic
         # polynomial is integral on the power basis, |det| = 1, and the
         # coefficient c of s^k, a signed elementary symmetric function of n
-        # roots of unity, has modulus at most C(n, k) in every embedding;
-        # so has the root mean square over the embeddings, read exactly as
-        # Tr(c conj(c)) / phi(m) for c c* in Q(zeta_m)
+        # roots of unity, has modulus at most C(n, k) in every embedding
         if (
             any(c.den != 1 for c in coeffs)
             or det * det.conj() != ONE
             or any(
-                _mean_square(c) > math.comb(n, k) ** 2
+                _exceeds_in_some_embedding(c, math.comb(n, k))
                 for k, c in enumerate(coeffs)
             )
         ):

