@@ -19,13 +19,17 @@ Q(zeta_{m/p}) is closed form, with no linear solve:
   Q(zeta_m'), it descends exactly when c_1 = ... = c_(p-1), and then equals
   c_0 - c_(p-1).  For p = 2 this always holds: Q(zeta_2m') = Q(zeta_m').
 
+Before either case, a nonzero coordinate at an index where no value of the
+subfield has one rules the step out, which settles most failed attempts.
+
 Coordinates are integer numerators over one denominator den > 0 with
 gcd(den, *nums) = 1 (H. Cohen, GTM 138, section 4.2), so the arithmetic runs
-on ints; `Fraction` appears only at the boundary.  Nothing here is floating
-point: `Cyclotomic.embed` and `cis_fixed` give values and phases as integers
-at a scale 2^q.  `Reduction`, last in the module, maps values into a prime
-field F_p; it is the one modular reduction behind every rank certified
-mod p.
+on ints; `Fraction` appears only at the boundary.  Each operator result is
+canonicalized; `sum_of_products` canonicalizes a whole sum of products once.
+Nothing here is floating point: `Cyclotomic.embed` and `cis_fixed` give
+values and phases as integers at a scale 2^q.  `Reduction`, last in the
+module, maps values into a prime field F_p; it is the one modular reduction
+behind every rank certified mod p.
 """
 
 from __future__ import annotations
@@ -142,12 +146,21 @@ def _reduce(m, terms):
 
 
 def _fold(m, full):
-    """Reduce a dense vector indexed by exponents mod m to phi(m) coordinates."""
+    """Reduce a dense vector indexed by exponents mod m to phi(m) coordinates,
+    consuming it.  For even m, z^(m/2) = -1 first moves the upper half onto
+    the lower one, so the reduction rows serve only exponents below m/2."""
     phi = euler_phi(m)
+    top = m
+    if not m & 1:
+        top = m >> 1
+        for e in range(top, m):
+            c = full[e]
+            if c:
+                full[e - top] -= c
     vec = full[:phi]
-    if phi < m:
+    if phi < top:
         rows = _reduction_rows(m)
-        for e in range(phi, m):
+        for e in range(phi, top):
             c = full[e]
             if c:
                 for i, r in rows[e]:
@@ -176,17 +189,31 @@ def _regrouping(m, p):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _off_subfield(m, p):
+    """The basis indices of Q(zeta_m) at which no value of Q(zeta_{m/p})
+    has a nonzero coordinate: outside the union of the supports of the
+    reduced powers z^(p a), a < phi(m/p)."""
+    sub = m // p
+    support = set()
+    for a in range(euler_phi(sub)):
+        vec = _reduce(m, {p * a: 1})
+        support.update(j for j, c in enumerate(vec) if c)
+    return tuple(j for j in range(euler_phi(m)) if j not in support)
+
+
 def _descend(m, p, vec):
     """Coordinates of (m, vec) in Q(zeta_{m/p}), or None when outside it.
 
     One closed-form step in O(phi(m)) for a prime p | m; the module
-    docstring gives both cases.
+    docstring gives both cases.  A nonzero coordinate off the subfield's
+    support (`_off_subfield`) rules the step out first.
     """
+    for j in _off_subfield(m, p):
+        if vec[j]:
+            return None
     sub = m // p
     if sub % p == 0:
-        for j in range(len(vec)):
-            if vec[j] and j % p:
-                return None
         return vec[::p]
     phi_sub = euler_phi(sub)
     cs = [[0] * phi_sub for _ in range(p)]
@@ -541,6 +568,47 @@ def _common_order(a, b):
             f"order promotion to {m} exceeds cap {ORDER_CAP}"
         )
     return m
+
+
+def sum_of_products(pairs) -> Cyclotomic:
+    """The sum of a * b over (a, b) pairs of Cyclotomic values, canonicalized
+    once rather than once per product and partial sum.
+
+    Every product is accumulated on exponents mod the common order of the
+    live pairs, over the lcm of their denominators, as one integer vector;
+    it is folded and canonicalized once.  A pair with a rational factor only
+    scales the other one, and a pair with a zero factor is skipped.
+    """
+    live = []
+    m = den = 1
+    for a, b in pairs:
+        if a.nums and b.nums:
+            live.append((a, b))
+            m = _common_order(_common_order(m, a.order), b.order)
+            den = math.lcm(den, a.den * b.den)
+    if len(live) < 2:
+        return live[0][0] * live[0][1] if live else ZERO
+    full = [0] * m
+    for a, b in live:
+        scale = den // (a.den * b.den)
+        if b.order == 1:
+            a, b = b, a
+        if a.order == 1:
+            scale *= a.nums[0]
+            step = m // b.order
+            for j, c in b.nums.items():
+                full[j * step] += c * scale
+            continue
+        sa, sb = m // a.order, m // b.order
+        terms_b = [(j * sb, c * scale) for j, c in b.nums.items()]
+        for i, ca in a.nums.items():
+            i *= sa
+            for j, cb in terms_b:
+                e = i + j
+                if e >= m:
+                    e -= m
+                full[e] += ca * cb
+    return _finish(m, _fold(m, full), den)
 
 
 def _poly_modinv(a, mod):

@@ -12,6 +12,14 @@ are term-by-term equalities in that ring.  Distinct exponentials of algebraic
 numbers are linearly independent, so a formal identity is exactly as strong
 as the functional one.
 
+`equivariance_check` checks F(pi(g) v) = T(g) F(v) with one exact pairing
+per orbit point: `model_act` and `eigenspace_action` read each phase
+exponent -<mu, x> from one table keyed by the exponent vector mu, computed
+on a miss by one fused sum (`linalg.dot`), and multiply by e^s as a shift of
+exponents (`FormalExp.shift`).  The phase is a function of its key alone, so
+sharing it cannot hide a misread index or a wrong k mu: either still gives
+different exponents or coefficients on the two sides.
+
 Irreducibility certification is the pair of computations from the rank
 criterion: the evaluation matrix H_i(mu_k) must have full rank |K|, and the
 commutant of the sampled representation must be one-dimensional.  The rank
@@ -217,6 +225,11 @@ class FormalExp:
 
     __rmul__ = __mul__
 
+    def shift(self, s) -> "FormalExp":
+        """e^s times this sum: every exponent moves by s, no coefficient
+        changes, and distinct exponents stay distinct."""
+        return FormalExp({s + t: c for t, c in self.terms.items()}, _clean=True)
+
     def conj(self) -> "FormalExp":
         return FormalExp(
             {s.conj(): c.conj() for s, c in self.terms.items()}
@@ -266,20 +279,33 @@ class InducedModel:
         return [_FE_ONE] * self.dimension
 
 
-def model_act(m: InducedModel, g: GroupElement, v):
-    """Action (pi(x, k) v)(h) = exp(-<mu_h, x>) v(k^-1 h)."""
+def _phase(phases, mu, x):
+    """The exponent -<mu, x> of a phase, read from `phases` (exponent vector
+    -> exponent) and kept there when computed on the spot."""
+    s = phases.get(mu)
+    if s is None:
+        s = phases[mu] = -linalg.dot(mu, x)
+    return s
+
+
+def model_act(m: InducedModel, g: GroupElement, v, phases=None):
+    """Action (pi(x, k) v)(h) = exp(-<mu_h, x>) v(k^-1 h).
+
+    `phases` is a table of the exponents -<mu, x> for this g, shared with
+    `eigenspace_action` by `equivariance_check`; by default a fresh one.
+    """
     if g.group is not m.group:
         raise ValueError("element belongs to a different group")
-    table = m.group.mult_table
-    k_inv = m.group.inverse_table[g.rotation]
-    x = [cyc(t) for t in g.translation]
+    if phases is None:
+        phases = {}
+    row = m.group.mult_table[m.group.inverse_table[g.rotation]]
+    points = m.orbit.points
+    x = g.translation
     out = []
     for h in range(m.dimension):
-        src = table[k_inv][h]
-        entry = v[src]
+        entry = v[row[h]]
         if entry:
-            phase = FormalExp.exp(-linalg.dot(m.orbit.points[h], x))
-            entry = phase * entry
+            entry = entry.shift(_phase(phases, points[h], x))
         out.append(entry)
     return out
 
@@ -340,30 +366,40 @@ def intertwiner(m: InducedModel, v) -> PlaneWaveSum:
     return PlaneWaveSum(m.group.dimension, waves, _clean=True)
 
 
-def eigenspace_action(group: ReflectionGroup, g: GroupElement, p: PlaneWaveSum) -> PlaneWaveSum:
+def eigenspace_action(group: ReflectionGroup, g: GroupElement, p: PlaneWaveSum, phases=None) -> PlaneWaveSum:
     """Action of the motion group on plane waves:
     e^<mu, .> -> exp(-<k mu, y>) e^<k mu, .> for g = (y, k).
 
     Each k mu is computed by `RMatrix.apply`, once per rotation and
     exponent for the life of the group (`ReflectionGroup.rotated_points`).
+    The phases are read from `phases` as in `model_act`.
     """
+    if g.group is not group:
+        raise ValueError("element belongs to a different group")
+    if phases is None:
+        phases = {}
     k = group.elements[g.rotation]
     memo = group.rotated_points[g.rotation]
-    y = [cyc(t) for t in g.translation]
+    y = g.translation
     out = {}
     for mu, c in p.waves.items():
         new_mu = memo.get(mu)
         if new_mu is None:
             new_mu = memo[mu] = k.apply(mu)
-        phase = FormalExp.exp(-linalg.dot(new_mu, y))
-        linalg.add_term(out, new_mu, phase * c)
+        linalg.add_term(out, new_mu, c.shift(_phase(phases, new_mu, y)))
     return PlaneWaveSum(p.dimension, out, _clean=True)
 
 
 def equivariance_check(m: InducedModel, g: GroupElement, v) -> bool:
-    """Exact formal identity F(pi(g) v) = T(g) F(v)."""
-    lhs = intertwiner(m, model_act(m, g, v))
-    rhs = eigenspace_action(m.group, g, intertwiner(m, v))
+    """Exact formal identity F(pi(g) v) = T(g) F(v).
+
+    Both sides read their phases from one table, so each distinct orbit
+    point is paired with the translation once (see the module docstring
+    for why sharing it hides no defect).
+    """
+    phases = {}
+    lhs = intertwiner(m, model_act(m, g, v, phases))
+    rhs = eigenspace_action(m.group, g, intertwiner(m, v), phases)
     return lhs == rhs
 
 

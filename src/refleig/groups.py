@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cyclotomic import E, ONE, Reduction, ZERO, cyc
+from .cyclotomic import E, ONE, Reduction, ZERO, cyc, sum_of_products
 from .errors import (
     GroupClosureError,
     InternalConsistencyError,
@@ -44,7 +44,7 @@ MAX_TRIVIAL_DIMENSION = 8
 class RMatrix:
     """Immutable square matrix with cyclotomic entries."""
 
-    __slots__ = ("dimension", "rows", "_hash")
+    __slots__ = ("dimension", "rows", "_hash", "_sparse")
 
     def __init__(self, rows):
         rows = tuple(tuple(cyc(x) for x in row) for row in rows)
@@ -54,6 +54,7 @@ class RMatrix:
         self.dimension = n
         self.rows = rows
         self._hash = None
+        self._sparse = None
 
     @staticmethod
     def _of(rows, n):
@@ -62,6 +63,7 @@ class RMatrix:
         m.dimension = n
         m.rows = tuple(map(tuple, rows))
         m._hash = None
+        m._sparse = None
         return m
 
     @staticmethod
@@ -112,7 +114,28 @@ class RMatrix:
         return (self.transpose() * self).is_identity()
 
     def apply(self, vec):
-        return tuple(linalg.mat_vec(self.rows, [cyc(v) for v in vec]))
+        """The image of a vector.  Each row's nonzero entries are found on
+        the first call and kept: a row whose one entry is 1 or -1 copies or
+        negates a coordinate, any other row is one fused sum of products."""
+        if self._sparse is None:
+            sparse = []
+            for row in self.rows:
+                terms = tuple((k, x) for k, x in enumerate(row) if x)
+                if len(terms) == 1 and terms[0][1] in (ONE, -ONE):
+                    sparse.append((terms[0][0], terms[0][1] == ONE, None))
+                else:
+                    sparse.append((None, None, terms))
+            self._sparse = tuple(sparse)
+        vec = [cyc(v) for v in vec]
+        if len(vec) != self.dimension:
+            raise ValueError("vector length must match the matrix dimension")
+        out = []
+        for k, positive, terms in self._sparse:
+            if terms is None:
+                out.append(vec[k] if positive else -vec[k])
+            else:
+                out.append(sum_of_products((x, vec[j]) for j, x in terms))
+        return tuple(out)
 
 
 def is_pseudo_reflection(m: RMatrix) -> bool:

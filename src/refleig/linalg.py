@@ -12,16 +12,21 @@ with exact integer arithmetic.
 
 Every exact sum in the package goes through one of two accumulators:
 `add_term` for sparse sums keyed by exponent or column, and `dot` for dense
-sums of products such as orbit pairings.  Neither ever adds into an exact
-zero, because each `Cyclotomic` addition is a full construction and
-canonicalization, and `ZERO + x` pays for one that changes nothing.
-`mat_mul` and `mat_vec` are row-sparse: they form only the products of two
-nonzero entries, so a product of signed-permutation matrices takes n scalar
-products, not n^3.
+sums of products such as orbit pairings.  `add_term` never adds into an
+exact zero, since `ZERO + x` builds a value that changes nothing.  `dot`
+over `Cyclotomic` entries is `cyclotomic.sum_of_products`: one integer
+vector for all the products and one canonicalization for the sum, where a
+chain of `+` and `*` would canonicalize every product and partial sum.
+`mat_mul` is row-sparse: it forms only the products of two nonzero
+entries, so a product of signed-permutation matrices takes n scalar
+products, not n^3.  `RMatrix.apply` in `groups` keeps the same sparsity
+per row for matrix-vector products.
 """
 
 import operator
 from fractions import Fraction
+
+from .cyclotomic import Cyclotomic, sum_of_products
 
 
 def add_term(out, key, value):
@@ -35,7 +40,12 @@ def add_term(out, key, value):
 
 
 def dot(u, v):
-    """Sum of u[i] * v[i] over nonempty u and v, started from the first product."""
+    """Sum of u[i] * v[i] over nonempty u and v of equal length: one fused
+    sum for `Cyclotomic` entries, else started from the first product."""
+    if len(u) != len(v):
+        raise ValueError(f"dot of vectors of lengths {len(u)} and {len(v)}")
+    if type(u[0]) is Cyclotomic and type(v[0]) is Cyclotomic:
+        return sum_of_products(zip(u, v))
     acc = u[0] * v[0]
     for k in range(1, len(u)):
         acc = acc + u[k] * v[k]
@@ -57,22 +67,6 @@ def mat_mul(a, b):
                 for j, y in brow:
                     add_term(acc, j, x * y)
         out.append([acc.get(j, zero) for j in range(ncols)])
-    return out
-
-
-def mat_vec(a, v):
-    """The product a v of a nonempty matrix and a vector, skipping every
-    pair with a zero factor; an entry with no nonzero pair is a[0][0] * 0."""
-    zero = a[0][0] * 0
-    terms = [(k, y) for k, y in enumerate(v) if y]
-    out = []
-    for row in a:
-        acc = None
-        for k, y in terms:
-            x = row[k]
-            if x:
-                acc = x * y if acc is None else acc + x * y
-        out.append(zero if acc is None else acc)
     return out
 
 

@@ -91,15 +91,24 @@ def mp_embed_formal(f, precision: int = 53):
 # -- dense and naive references ----------------------------------------------------
 
 
+def _chained_dot(u, v):
+    """u . v as a chain of `+` and `*`, zeros included, one canonical value
+    per product and partial sum: no fused kernel involved."""
+    acc = u[0] * v[0]
+    for x, y in zip(u[1:], v[1:]):
+        acc = acc + x * y
+    return acc
+
+
 def dense_mat_mul(a, b):
-    """The product a b with every entry a `linalg.dot` of a row and a column,
+    """The product a b with every entry a chained dot of a row and a column,
     zeros included: the formulation `linalg.mat_mul` replaced."""
     cols = list(zip(*b))
-    return [[linalg.dot(arow, col) for col in cols] for arow in a]
+    return [[_chained_dot(arow, col) for col in cols] for arow in a]
 
 
 def dense_mat_vec(a, v):
-    return [linalg.dot(row, v) for row in a]
+    return [_chained_dot(row, v) for row in a]
 
 
 def naive_generator_products(generators, degrees, target, nvars):

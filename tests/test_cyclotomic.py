@@ -31,6 +31,7 @@ from refleig.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
     prime_factors,
+    sum_of_products,
 )
 from refleig.errors import InternalConsistencyError, OrderLimitError
 from refleig.parsing import format_scalar, parse_scalar
@@ -548,6 +549,47 @@ def test_integer_kernel_matches_the_fraction_reference(ta, tb):
         assert _canonical(value) == ref
         assert hash(value) == _ref_hash(ref)
         assert mp_embed(value, 128) == _ref_embed(ref, 128)
+
+
+_FUSED_ORDERS = (1, 4, 20, 28, 60)
+
+
+@st.composite
+def fused_factors(draw):
+    # zero factors come from empty term dicts and from cancellation
+    m = draw(st.sampled_from(_FUSED_ORDERS))
+    terms = draw(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=m - 1), _kernel_fractions, max_size=3
+        )
+    )
+    return Cyclotomic(m, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(fused_factors(), fused_factors()), max_size=6))
+def test_fused_sum_matches_the_chained_reference(pairs):
+    reference = ZERO
+    for a, b in pairs:
+        reference = reference + a * b
+    fused = sum_of_products(pairs)
+    assert _canonical(fused) == _canonical(reference)
+    assert (fused.den, fused.nums) == (reference.den, reference.nums)
+    assert hash(fused) == hash(reference)
+
+
+def test_fused_sum_edge_cases():
+    half = cyc(Fraction(1, 2))
+    assert sum_of_products([]) is ZERO
+    assert sum_of_products([(ZERO, E(28)), (E(20), ZERO)]) is ZERO
+    assert sum_of_products([(E(20), E(28) * half)]) == E(20) * E(28) / 2
+    # rational factors only scale; the sum may cancel to a rational
+    assert sum_of_products([(half, E(4)), (E(4), -half), (cyc(3), half)]) == Fraction(3, 2)
+    assert sum_of_products([(E(3), E(3)), (E(3), ONE), (ONE, ONE)]) == ZERO
+    with pytest.raises(OrderLimitError):
+        sum_of_products([(E(64), ONE), (ONE, E(63))])
+    with pytest.raises(OrderLimitError):
+        sum_of_products([(E(64), E(63))])
 
 
 # -- integer fixed-point embedding -------------------------------------------------

@@ -239,6 +239,15 @@ def test_model_act_rejects_foreign_element():
         model_act(m, g, m.fixed_vector())
 
 
+def test_eigenspace_action_rejects_foreign_element():
+    group = builtin("dihedral:3")
+    m = InducedModel.build(imag_weight(group, (1, 2)))
+    p = intertwiner(m, m.fixed_vector())
+    g = GroupElement(builtin("symmetric:3"), (1, 2, 3), 5)
+    with pytest.raises(ValueError, match="different group"):
+        eigenspace_action(group, g, p)
+
+
 # -- intertwiner and equivariance --------------------------------------------------
 
 
@@ -287,6 +296,70 @@ def test_equivariance_everywhere():
                     for _ in range(m.dimension)
                 ]
                 assert equivariance_check(m, g, v)
+
+
+# Each defect below must make the identity fail for every rotation but the
+# identity.  The coefficients are distinct nonzero constants, so no two
+# misplaced terms can cancel or coincide.
+_TEETH_WEIGHTS = (("dihedral:5", (1, 3)), ("symmetric:4", (1, 2, 4, 7)))
+
+
+def _teeth_setup(spec, coords):
+    group = builtin(spec)
+    m = InducedModel.build(imag_weight(group, coords))
+    assert is_generic(m.weight)
+    v = [FormalExp.constant(j + 1) for j in range(m.dimension)]
+    y = tuple(range(1, group.dimension + 1))
+    return group, m, v, [GroupElement(group, y, r) for r in range(1, group.order)]
+
+
+@pytest.mark.parametrize("spec, coords", _TEETH_WEIGHTS)
+def test_equivariance_fails_when_model_act_misreads_the_phase(monkeypatch, spec, coords):
+    from refleig import eigenspace
+
+    group, m, v, elements = _teeth_setup(spec, coords)
+    assert all(equivariance_check(m, g, v) for g in elements)
+
+    def misread(m, g, v, *_rest):
+        # the phase of points[k^-1 h] instead of points[h]
+        row = m.group.mult_table[m.group.inverse_table[g.rotation]]
+        out = []
+        for h in range(m.dimension):
+            entry = v[row[h]]
+            if entry:
+                s = -linalg.dot(m.orbit.points[row[h]], list(g.translation))
+                entry = FormalExp.exp(s) * entry
+            out.append(entry)
+        return out
+
+    monkeypatch.setattr(eigenspace, "model_act", misread)
+    assert not any(equivariance_check(m, g, v) for g in elements)
+
+
+@pytest.mark.parametrize("spec, coords", _TEETH_WEIGHTS)
+def test_equivariance_fails_on_a_wrong_rotated_point(monkeypatch, spec, coords):
+    group, m, v, elements = _teeth_setup(spec, coords)
+    for g in elements:
+        assert equivariance_check(m, g, v)
+        memo = group.rotated_points[g.rotation]
+        mu = m.orbit.points[1]
+        wrong = next(p for p in m.orbit.points if p != memo[mu])
+        with monkeypatch.context() as patch:
+            patch.setitem(memo, mu, wrong)
+            assert not equivariance_check(m, g, v)
+
+
+@pytest.mark.parametrize("spec, coords", _TEETH_WEIGHTS)
+def test_equivariance_fails_on_a_swapped_multiplication_row(spec, coords):
+    group, m, v, elements = _teeth_setup(spec, coords)
+    for g in elements:
+        row = group.mult_table[group.inverse_table[g.rotation]]
+        row[0], row[1] = row[1], row[0]
+        try:
+            assert not equivariance_check(m, g, v)
+        finally:
+            row[0], row[1] = row[1], row[0]
+        assert equivariance_check(m, g, v)
 
 
 def test_eigenspace_action_is_multiplicative():

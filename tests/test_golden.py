@@ -55,6 +55,8 @@ CASES = (
         ["invariants", "--builtin", "symmetric:5"],
     ),
     ("molien-dihedral-7.json", 0, ["molien", "--builtin", "dihedral:7"]),
+    ("verify-all-symmetric-4.json", 0, ["verify-all", "--builtin", "symmetric:4"]),
+    ("verify-all-dihedral-7.json", 0, ["verify-all", "--builtin", "dihedral:7"]),
 )
 
 
