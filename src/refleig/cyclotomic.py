@@ -146,21 +146,12 @@ def _reduce(m, terms):
 
 
 def _fold(m, full):
-    """Reduce a dense vector indexed by exponents mod m to phi(m) coordinates,
-    consuming it.  For even m, z^(m/2) = -1 first moves the upper half onto
-    the lower one, so the reduction rows serve only exponents below m/2."""
+    """Reduce a dense vector indexed by exponents mod m to phi(m) coordinates."""
     phi = euler_phi(m)
-    top = m
-    if not m & 1:
-        top = m >> 1
-        for e in range(top, m):
-            c = full[e]
-            if c:
-                full[e - top] -= c
     vec = full[:phi]
-    if phi < top:
+    if phi < m:
         rows = _reduction_rows(m)
-        for e in range(phi, top):
+        for e in range(phi, m):
             c = full[e]
             if c:
                 for i, r in rows[e]:

@@ -1,10 +1,11 @@
 """Exact linear algebra over any field-like scalar.
 
-Every routine works for scalars supporting +, -, *, /, == and truth-testing
-(zero is falsy): `fractions.Fraction` and `Cyclotomic` both qualify.  Matrices
-are lists of row lists.  Sizes here are desk scale, so plain Gaussian
-elimination with first-nonzero pivoting is used throughout; pivot choice is
-deterministic, which several callers rely on for reproducible bases.
+Every routine but `dot` works for scalars supporting +, -, *, /, == and
+truth-testing (zero is falsy): `fractions.Fraction` and `Cyclotomic` both
+qualify; `dot` takes `Cyclotomic` entries.  Matrices are lists of row
+lists.  Sizes here are desk scale, so plain Gaussian elimination with
+first-nonzero pivoting is used throughout; pivot choice is deterministic,
+which several callers rely on for reproducible bases.
 `rank_mod` is the one routine over F_p instead: it takes integer matrices
 reduced by `cyclotomic.Reduction`.  `gram_positive_definite` is the one
 numeric routine: it takes Gaussian-integer matrices in fixed point and works
@@ -13,10 +14,10 @@ with exact integer arithmetic.
 Every exact sum in the package goes through one of two accumulators:
 `add_term` for sparse sums keyed by exponent or column, and `dot` for dense
 sums of products such as orbit pairings.  `add_term` never adds into an
-exact zero, since `ZERO + x` builds a value that changes nothing.  `dot`
-over `Cyclotomic` entries is `cyclotomic.sum_of_products`: one integer
-vector for all the products and one canonicalization for the sum, where a
-chain of `+` and `*` would canonicalize every product and partial sum.
+exact zero, since `ZERO + x` builds a value that changes nothing.  `dot` is
+`cyclotomic.sum_of_products`: one integer vector for all the products and
+one canonicalization for the sum, where a chain of `+` and `*` would
+canonicalize every product and partial sum.
 `mat_mul` is row-sparse: it forms only the products of two nonzero
 entries, so a product of signed-permutation matrices takes n scalar
 products, not n^3.  `RMatrix.apply` in `groups` keeps the same sparsity
@@ -26,7 +27,7 @@ per row for matrix-vector products.
 import operator
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, sum_of_products
+from .cyclotomic import sum_of_products
 
 
 def add_term(out, key, value):
@@ -40,16 +41,11 @@ def add_term(out, key, value):
 
 
 def dot(u, v):
-    """Sum of u[i] * v[i] over nonempty u and v of equal length: one fused
-    sum for `Cyclotomic` entries, else started from the first product."""
+    """Sum of u[i] * v[i] over `Cyclotomic` vectors of equal length, as one
+    fused sum."""
     if len(u) != len(v):
         raise ValueError(f"dot of vectors of lengths {len(u)} and {len(v)}")
-    if type(u[0]) is Cyclotomic and type(v[0]) is Cyclotomic:
-        return sum_of_products(zip(u, v))
-    acc = u[0] * v[0]
-    for k in range(1, len(u)):
-        acc = acc + u[k] * v[k]
-    return acc
+    return sum_of_products(zip(u, v))
 
 
 def mat_mul(a, b):
