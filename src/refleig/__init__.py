@@ -45,6 +45,7 @@ from .harmonics import (
     verify_product_decomposition,
 )
 from .eigenspace import (
+    DualSample,
     FormalExp,
     InducedModel,
     Orbit,
@@ -56,7 +57,6 @@ from .eigenspace import (
     eigen_check,
     eigenspace_action,
     equivariance_check,
-    evaluation_matrix,
     evaluation_rank,
     intertwiner,
     is_generic,

@@ -18,7 +18,13 @@ exponent -<mu, x> from one table keyed by the exponent vector mu, computed
 on a miss by one fused sum (`linalg.dot`), and multiply by e^s as a shift of
 exponents (`FormalExp.shift`).  The phase is a function of its key alone, so
 sharing it cannot hide a misread index or a wrong k mu: either still gives
-different exponents or coefficients on the two sides.
+different exponents or coefficients on the two sides.  For an integer
+translation, `InducedModel.phase_table` fills the table for every distinct
+orbit point in one pass, from the orbit lifted once to one order and one
+denominator; a k mu off the orbit still misses it.
+
+`eigen_check` evaluates every invariant at every orbit point from one table
+of powers per distinct coordinate value, keyed by the value.
 
 Irreducibility certification is the pair of computations from the rank
 criterion: the evaluation matrix H_i(mu_k) must have full rank |K|, and the
@@ -31,23 +37,30 @@ elimination over the cyclotomic field.  The commutant is computed twice,
 numerically at high precision and exactly from the orbit block structure,
 and both must agree.
 
-Both numeric routes work in integer fixed point at scale 2^(p + 10) for the
-working precision p, and both threshold at t = 2^(-(p // 2)).  One helper,
-`_phases`, embeds each e^s they need once, through the integer embedding of
-`cyclotomic` (`Cyclotomic.embed`, `cis_fixed`), within 5/8 of a unit.  Rows
-built from those phases by `_dual_rows` stay within (2r + 1) units for r
-samples, far below t / 2^8, the tolerance of their cross-check against
-`model_act`.
+Both numeric routes work in integer fixed point and threshold at
+t = 2^(-(p // 2)) for the working precision p.  One helper, `_phases`,
+embeds each e^s they need once, through the integer embedding of
+`cyclotomic` (`Cyclotomic.embed`, `cis_fixed`), within 5/8 of a unit at
+scale 2^(p + 10); the dual-orbit test asks it for more bits than p.
 
-The dual-orbit test of Theorem 3.10 is the independent numeric route: the
-rows pi^c(g) u* of the K-fixed functional over the samples (j y, k),
-j = 0, 1, ..., form a Vandermonde matrix A, each row the row before times
-the phase row read from `model_act`.  A passes when every singular value
-exceeds t, that is, when A^H A - t^2 I is positive definite; this is
-decided by an LDL^H factorization of the exact Gaussian-integer Gram
-matrix, with no SVD.
+The dual-orbit test of Theorem 3.10 is the independent numeric route.  Its
+sample is designed from the orbit (`dual_sample_elements`): the powers
+(j x, 0), j < r, of one translation x that gives the distinct orbit points
+exactly distinct angles in [-1.5, 1.5], at least 2^(-gap_bits) apart.  The
+rows pi^c(g_j) u* then form a Vandermonde matrix A in the nodes
+z_h = e^(-<mu_h, x>) read from `model_act`.  A passes when every singular
+value exceeds t; `dual_cyclic_check` decides it with no Gram matrix and no
+factorization: a Dirichlet-kernel bound on each off-diagonal entry of A^H A
+and Gershgorin's theorem turn certified gaps |z_h - z_h'| into
+lambda_min(A^H A) >= r / 2 for an r read from those gaps (A. Moitra,
+Super-resolution, extremal functions and the condition number of Vandermonde
+matrices, STOC 2015, for why separated nodes give a controlled sigma_min).
+The r-th power of the nodes is checked against `model_act` embedded
+directly.
 """
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -59,14 +72,14 @@ from .cyclotomic import (
     ONE,
     Reduction,
     ZERO,
+    _finish,
     cis_fixed,
+    common_lift,
     cyc,
+    euler_phi,
+    sum_of_products,
 )
-from .errors import (
-    InsufficientSamplesError,
-    InternalConsistencyError,
-    SampleSpanError,
-)
+from .errors import InternalConsistencyError, SampleSpanError
 from .groups import GroupElement, ReflectionGroup
 from .harmonics import HarmonicSpace
 
@@ -278,6 +291,32 @@ class InducedModel:
         """The all-ones vector: the K-fixed vector of the model."""
         return [_FE_ONE] * self.dimension
 
+    @cached_property
+    def _lifted_points(self):
+        """The distinct orbit points over one order and denominator
+        (`cyclotomic.common_lift`), each with the integer vector of each
+        coordinate."""
+        reps = [self.orbit.points[cls[0]] for cls in self.orbit.classes]
+        coords = list({x for mu in reps for x in mu})
+        order, den, vecs = common_lift(coords)
+        lifted = dict(zip(coords, vecs))
+        return order, den, [(mu, [lifted[x] for x in mu]) for mu in reps]
+
+    def phase_table(self, shift) -> dict:
+        """The exponent -<mu, x> of every distinct orbit point mu, keyed by
+        mu as `model_act` reads it, for a translation x of ints: one integer
+        combination of the lifted coordinates and one canonicalization a
+        point."""
+        order, den, lifted = self._lifted_points
+        out = {}
+        for mu, vecs in lifted:
+            acc = [0] * len(vecs[0])
+            for t, v in zip(shift, vecs):
+                if t:
+                    acc = [a - t * b for a, b in zip(acc, v)]
+            out[mu] = _finish(order, acc, den)
+        return out
+
 
 def _phase(phases, mu, x):
     """The exponent -<mu, x> of a phase, read from `phases` (exponent vector
@@ -390,29 +429,58 @@ def eigenspace_action(group: ReflectionGroup, g: GroupElement, p: PlaneWaveSum, 
     return PlaneWaveSum(p.dimension, out, _clean=True)
 
 
-def equivariance_check(m: InducedModel, g: GroupElement, v) -> bool:
+def equivariance_check(m: InducedModel, g: GroupElement, v, phases=None) -> bool:
     """Exact formal identity F(pi(g) v) = T(g) F(v).
 
     Both sides read their phases from one table, so each distinct orbit
     point is paired with the translation once (see the module docstring
-    for why sharing it hides no defect).
+    for why sharing it hides no defect).  `phases` may hold the exponents
+    `InducedModel.phase_table` gives for g's translation; by default the
+    table starts empty.
     """
-    phases = {}
+    if phases is None:
+        phases = {}
     lhs = intertwiner(m, model_act(m, g, v, phases))
     rhs = eigenspace_action(m.group, g, intertwiner(m, v), phases)
     return lhs == rhs
 
 
-def eigen_check(p: PlaneWaveSum, invariants, w: Weight) -> bool:
+def eigen_check(p: PlaneWaveSum, invariants, w: Weight, eigenvalues=None) -> bool:
     """Every exponent of p gives the same invariant values as the weight.
 
     This is the exact statement that p lies in the joint eigenspace cut out
-    by the invariant differential operators at the weight's eigenvalues.
+    by the invariant differential operators at the weight's eigenvalues,
+    `eigenvalues` when the caller has them.  The generators are evaluated
+    at every exponent from one table of powers per distinct coordinate
+    value, keyed by the value, each value of a generator one fused sum
+    (`cyclotomic.sum_of_products`).
     """
-    lam_values = invariant_eigenvalues(invariants, w)
+    gens = invariants.generators
+    if eigenvalues is None:
+        eigenvalues = invariant_eigenvalues(invariants, w)
+    top = max((gen.degree() for gen in gens), default=0)
+    powers = {}
     for mu in p.waves:
-        for gen, target in zip(invariants.generators, lam_values):
-            if gen.evaluate(mu) != target:
+        for x in mu:
+            if x not in powers:
+                pw = powers[x] = [ONE]
+                for _ in range(top):
+                    pw.append(pw[-1] * x)
+    # each generator as (coefficient, ((variable, exponent), ...)) terms
+    sparse = [
+        [(c, tuple((i, k) for i, k in enumerate(e) if k)) for e, c in gen.terms.items()]
+        for gen in gens
+    ]
+    for mu in p.waves:
+        table = [powers[x] for x in mu]
+        for terms, target in zip(sparse, eigenvalues):
+            pairs = []
+            for c, factors in terms:
+                mono = None
+                for i, k in factors:
+                    mono = table[i][k] if mono is None else mono * table[i][k]
+                pairs.append((c, ONE if mono is None else mono))
+            if sum_of_products(pairs) != target:
                 return False
     return True
 
@@ -453,113 +521,148 @@ def _action_phases(m: InducedModel, g: GroupElement, precision: int):
     return _phases([next(iter(e.terms)) for e in entries], precision)
 
 
-_SEPARATION_DOUBLINGS = 4
+@dataclass(frozen=True)
+class DualSample:
+    """The designed sample of the dual-orbit test: the powers (j x, 0),
+    j = 0, 1, ..., r - 1, of one translation x, with r read from the phases
+    by `dual_cyclic_check`.
 
-
-def dual_sample_elements(m: InducedModel, rng=None, bound: int = 9, max_tries: int = 1000):
-    """Spanning sample set for the dual-orbit test: powers of one translation.
-
-    The translation y is drawn until the pairings <mu, y> over distinct orbit
-    points are pairwise different (checked exactly), so the sample rows form
-    a Vandermonde matrix in the distinct values e^-<mu, y>.  Exponentials of
-    distinct purely imaginary algebraic numbers never coincide, so for a
-    generic weight the rows provably span.
-
-    Translations are drawn from the box [-bound, bound]^n; after `max_tries`
-    failed draws the box doubles, up to `_SEPARATION_DOUBLINGS` times, since a
-    large orbit need not be separated by any point of a small box.
+    Each distinct orbit point pairs with x to an angle Im <mu_h, x> in
+    [-1.5, 1.5], and the angles of two distinct points differ by more than
+    2^(-gap_bits).
     """
-    import random as _random
 
-    if rng is None:
-        rng = _random.Random(0)
-    group = m.group
+    translation: tuple
+    gap_bits: int
+
+
+def dual_sample_elements(m: InducedModel) -> DualSample:
+    """The translation x = c y of the dual-orbit test, designed from the
+    orbit; nothing is drawn.
+
+    Let D be the lcm of the denominators of the coordinates of the distinct
+    orbit points and M the largest sum of absolute coordinates of D times a
+    coordinate, so every Galois conjugate of D mu_h[i] is at most M in
+    modulus.  y = (1, B, ..., B^(n-1)), with B the least integer from
+    2M + 1 on that makes the exact pairings <mu_h, y> pairwise distinct.
+    When every coordinate is a rational multiple of i the first B does: the
+    D mu_h / i are then integer vectors, written in base B with digits below
+    B / 2.
+
+    Every conjugate of D <mu_h, y> is at most Q = M (1 + B + ... + B^(n-1)),
+    so c = 3 D / (2 Q) puts every angle Im <mu_h, x> in [-1.5, 1.5].  The
+    difference of two distinct angles is 3 / (2 Q) times a nonzero real
+    algebraic integer a of Q(zeta_N), N = lcm(4, conductors), whose
+    conjugates are at most 2Q and come in equal pairs; its norm is a
+    nonzero integer, so |a| >= (2Q)^(1 - e) with e = phi(N) / 2, and the
+    angles differ by more than 2^(-gap_bits), gap_bits = e bit_length(2Q).
+    """
     reps = [m.orbit.points[cls[0]] for cls in m.orbit.classes]
-    for _ in range(_SEPARATION_DOUBLINGS + 1):
-        for _ in range(max_tries):
-            y = tuple(rng.randint(-bound, bound) for _ in range(group.dimension))
-            pairings = [linalg.dot(mu, [cyc(t) for t in y]) for mu in reps]
-            if len(set(pairings)) == len(pairings):
-                return [
-                    GroupElement(group, tuple(j * t for t in y), 0)
-                    for j in range(group.order)
-                ]
-        bound *= 2
-    raise InternalConsistencyError("could not find a separating translation")
+    n = m.group.dimension
+    coords = {x for mu in reps for x in mu}
+    den = math.lcm(*(x.den for x in coords))
+    bound = max(sum(map(abs, x.nums.values())) * (den // x.den) for x in coords)
+    base = 2 * bound + 1
+    while True:
+        y = [cyc(base**j) for j in range(n)]
+        if len({linalg.dot(mu, y) for mu in reps}) == len(reps):
+            break
+        base += 1
+    total = bound * sum(base**j for j in range(n))
+    scale = Fraction(3 * den, 2 * total) if total else 1
+    e = euler_phi(math.lcm(4, *(x.order for x in coords))) // 2
+    return DualSample(
+        tuple(t * scale for t in y), e * (2 * total).bit_length()
+    )
 
 
-def dual_cyclic_check(m: InducedModel, samples, precision: int = 128) -> bool:
+def dual_cyclic_check(m: InducedModel, sample: DualSample, precision: int = 128) -> bool:
     """Numeric test that the dual orbit of the fixed functional spans.
 
-    The samples must be g_j = (j y, k_j) for j = 0, 1, ..., r - 1 with
-    r >= |K|, the powers of one translation that `dual_sample_elements`
-    draws.  Each sample contributes the coordinate row of the dual vector
-    pi^c(g_j) u* in the dual basis (`_dual_rows`).  The check passes when
-    every singular value of the row matrix A exceeds t = 2^(-(precision // 2)),
-    that is, when A^H A - t^2 I is positive definite; this is decided by an
-    LDL^H factorization of the exact Gaussian-integer Gram matrix of the
-    fixed-point rows, with no SVD.
+    The rows pi^c(g_j) u* over the samples g_j = (j x, 0), j < r, form
+    the Vandermonde matrix A with entries conj(z_h)^j, z_h = e^(-<mu_h, x>)
+    read from `model_act` at (x, 0).  The check passes when every singular
+    value of A exceeds t = 2^(-(precision // 2)), that is, when
+    A^H A - t^2 I is positive definite.
+
+    A duplicate orbit point gives two equal columns, so sigma_min = 0
+    exactly and the check fails with no numeric work.  Otherwise
+    G = A^H A has r on its diagonal and |G_hh'| = |1 - w^r| / |1 - w|
+    <= 2 / |z_h - z_h'| off it (w = z_h conj(z_h'), a Dirichlet kernel).
+    `_gershgorin_rows` bounds every gap |z_h - z_h'| from below and takes r
+    at least twice the largest row sum of 2 / |z_h - z_h'| plus |K|, so
+    by Gershgorin lambda_min(G) >= r / 2 > t^2: the check passes exactly
+    when every gap is certified positive, and no Gram entry is formed.
+
+    The phases are embedded at `precision` plus gap_bits + bit_length(|K|)
+    + 11 bits, enough that the designed gap 2^(-gap_bits) always shows and
+    that z_h^(r-1), by repeated squaring, carries bit_length(r) + 8 guard
+    bits.  It is compared with `model_act` at ((r-1) x, 0), embedded
+    directly; a difference above t / 2^8 is an internal error.
     """
-    if len(samples) < m.dimension:
-        raise InsufficientSamplesError(
-            f"need at least {m.dimension} samples, got {len(samples)}"
-        )
-    y = samples[min(1, len(samples) - 1)].translation
-    if any(g.translation != tuple(j * t for t in y) for j, g in enumerate(samples)):
-        raise ValueError("dual samples must be (j y, k) for j = 0, 1, ..., r - 1")
-    bits = precision + 10
-    xs, ys = _dual_rows(m, samples, precision)
-    t_sq = 1 << (2 * (bits - precision // 2))
-    return linalg.gram_positive_definite(xs, ys, t_sq, 2 * bits)
-
-
-def _dual_rows(m: InducedModel, samples, precision: int):
-    """The rows pi^c(g_j) u* at scale 2^P, P = precision + 10, by columns.
-
-    Returns the real and the imaginary integer parts of each column of A.
-    Entry h of row j is conj(z_h)^j, where z_h = e^(-<mu_h, y>) is read from
-    `model_act` at g_1 and embedded once by `_phases`.  Row j is the row
-    before times that phase row, one Gaussian-integer product per entry.
-
-    Error budget: z_h is within one unit of 2^(-P) (`_phases`), and each
-    product carries the error before it and adds a rounding of at most 2
-    units, so every entry of r rows is within about (2r + 1) * 2^(-P).  At
-    |K| = 384 and precision 128 that is below 2^(-110), far below
-    t = 2^(-64).  The
-    last row is compared with `model_act` at g_(r-1), embedded directly;
-    a difference above t / 2^8 is an internal error.
-    """
-    bits = precision + 10
-    r = len(samples)
-    xs, ys = [], []
-    for a, b in _action_phases(m, samples[min(1, r - 1)], precision):
-        # multiply by conj(z) = a - ib
-        x, y = 1 << bits, 0
-        col_x, col_y = [x], [y]
-        for _ in range(r - 1):
-            x, y = (x * a + y * b) >> bits, (y * a - x * b) >> bits
-            col_x.append(x)
-            col_y.append(y)
-        xs.append(col_x)
-        ys.append(col_y)
+    if m.orbit.distinct_count < m.dimension:
+        return False
+    group = m.group
+    work = precision + sample.gap_bits + m.dimension.bit_length() + 11
+    bits = work + 10
+    x = sample.translation
+    z = _action_phases(m, GroupElement(group, x, 0), work)
+    r = _gershgorin_rows(z, bits, sample.gap_bits)
+    last = _action_phases(m, GroupElement(group, tuple((r - 1) * t for t in x), 0), work)
     tol = 1 << (bits - precision // 2 - 8)
-    last = _action_phases(m, samples[-1], precision)
-    for (a, b), x, y in zip(last, xs, ys):
-        if abs(a - x[-1]) > tol or abs(b + y[-1]) > tol:
-            raise InternalConsistencyError(
-                "dual row powers disagree with model_act"
-            )
-    return xs, ys
+    for (a, b), (c, d) in zip(last, (_power(zh, r - 1, bits) for zh in z)):
+        if abs(a - c) > tol or abs(b - d) > tol:
+            raise InternalConsistencyError("dual row powers disagree with model_act")
+    return True
+
+
+def _gershgorin_rows(z, bits: int, gap_bits: int) -> int:
+    """The row count r = 2 max_h sum_h' 2 / |z_h - z_h'| + |K|, each term
+    bounded above from the phases z at scale 2^bits.
+
+    Each part of each phase is within 5/8 unit (`_phases`), so a gap is at
+    least isqrt(|z_h - z_h'|^2) - 2 units.  The design keeps every gap
+    above 0.66 * 2^(-gap_bits), which puts r below 8 |K| 2^gap_bits; a gap
+    that is not certified positive, or a larger r, contradicts it and is an
+    internal error.
+    """
+    k = len(z)
+    xs = [a for a, _ in z]
+    ys = [b for _, b in z]
+    num = 1 << (bits + 1)
+    sums = [0] * k
+    for h in range(k - 1):
+        a, b = xs[h], ys[h]
+        gaps = [
+            math.isqrt((a - c) ** 2 + (b - d) ** 2) - 2
+            for c, d in zip(xs[h + 1:], ys[h + 1:])
+        ]
+        if min(gaps) <= 0:
+            raise InternalConsistencyError("dual phases closer than the designed gap")
+        terms = [num // g + 1 for g in gaps]
+        sums[h] += sum(terms)
+        sums[h + 1:] = map(operator.add, sums[h + 1:], terms)
+    r = 2 * max(sums) + k
+    if r > (8 * k) << gap_bits:
+        raise InternalConsistencyError("dual phases closer than the designed gap")
+    return r
+
+
+def _power(z, n: int, bits: int):
+    """z^n by repeated squaring for a Gaussian integer z at scale 2^bits;
+    each product adds at most two units of rounding."""
+    a, b = z
+    pa, pb = 1 << bits, 0
+    while n:
+        if n & 1:
+            pa, pb = (pa * a - pb * b) >> bits, (pa * b + pb * a) >> bits
+        n >>= 1
+        if n:
+            a, b = (a * a - b * b) >> bits, (a * b) >> (bits - 1)
+    return pa, pb
 
 
 # -- evaluation matrix ------------------------------------------------------------
-
-
-def evaluation_matrix(m: InducedModel, harmonics: HarmonicSpace):
-    """Matrix M[i][k] = H_i(mu_k) of exact cyclotomic scalars, harmonics
-    along rows, orbit along columns (base point 0)."""
-    cols = m.orbit.points
-    return [[h.evaluate(mu) for mu in cols] for h in harmonics.flat_basis()]
 
 
 def _evaluate_mod(terms, powers, p):

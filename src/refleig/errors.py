@@ -39,10 +39,6 @@ class GeneratorSearchError(RefleigError):
     """No new fundamental invariant exists at a required degree."""
 
 
-class InsufficientSamplesError(RefleigError):
-    """Too few sample group elements to decide a rank question."""
-
-
 class SampleSpanError(RefleigError):
     """Sample translations do not span the ambient space."""
 

@@ -7,9 +7,8 @@ lists.  Sizes here are desk scale, so plain Gaussian elimination with
 first-nonzero pivoting is used throughout; pivot choice is deterministic,
 which several callers rely on for reproducible bases.
 `rank_mod` is the one routine over F_p instead: it takes integer matrices
-reduced by `cyclotomic.Reduction`.  `gram_positive_definite` is the one
-numeric routine: it takes Gaussian-integer matrices in fixed point and works
-with exact integer arithmetic.
+reduced by `cyclotomic.Reduction`.  Nothing here is numeric: the
+certificates' fixed-point routes live in `eigenspace`.
 
 Every exact sum in the package goes through one of two accumulators:
 `add_term` for sparse sums keyed by exponent or column, and `dot` for dense
@@ -24,7 +23,6 @@ products, not n^3.  `RMatrix.apply` in `groups` keeps the same sparsity
 per row for matrix-vector products.
 """
 
-import operator
 from fractions import Fraction
 
 from .cyclotomic import sum_of_products
@@ -129,57 +127,6 @@ def rank_mod(rows, ncols: int, p: int) -> int:
                 ]
         rank += 1
     return rank
-
-
-def gram_positive_definite(xs, ys, shift: int, frac_bits: int) -> bool:
-    """Whether C^H C - shift * I is positive definite, in integer fixed point.
-
-    C = X + iY is the Gaussian-integer matrix whose columns have real parts
-    `xs` and imaginary parts `ys`.  Its Hermitian Gram matrix is formed
-    exactly, `shift` is on its scale and `frac_bits` is its binary point.
-    The LDL^H factorization runs in fixed point at that scale and returns
-    False at the first pivot <= 0: by Sylvester's law of inertia the matrix
-    is positive definite exactly when every pivot is positive.
-    """
-    n = len(xs)
-
-    def ip(u, v):
-        return sum(map(operator.mul, u, v))
-
-    # conj(c_i) . c_k = x_i.x_k + y_i.y_k + i (x_i.y_k - y_i.x_k), and the
-    # imaginary part is (x_i - y_i).(x_k + y_k) - x_i.x_k + y_i.y_k: three
-    # dot products per entry instead of four
-    diffs = [list(map(operator.sub, x, y)) for x, y in zip(xs, ys)]
-    sums = [list(map(operator.add, x, y)) for x, y in zip(xs, ys)]
-    gr, gi = [], []
-    for i in range(n):
-        xx = [ip(xs[i], xs[k]) for k in range(i + 1)]
-        yy = [ip(ys[i], ys[k]) for k in range(i + 1)]
-        gr.append(list(map(operator.add, xx, yy)))
-        gi.append([ip(diffs[i], sums[k]) - a + b for k, (a, b) in enumerate(zip(xx, yy))])
-    # right-looking elimination on the lower triangle; the shift moves only
-    # the diagonal, so it is applied as each pivot is read
-    for j in range(n):
-        d = gr[j][j] - shift
-        if d <= 0:
-            return False
-        cr = [gr[k][j] for k in range(j + 1, n)]
-        ci = [gi[k][j] for k in range(j + 1, n)]
-        for i in range(j + 1, n):
-            lr = (gr[i][j] << frac_bits) // d
-            li = (gi[i][j] << frac_bits) // d
-            # entry (i, k) loses l_i conj(G[k][j]) for j < k <= i
-            row = gr[i]
-            row[j + 1:i + 1] = [
-                v - ((lr * a + li * b) >> frac_bits)
-                for v, a, b in zip(row[j + 1:i + 1], cr, ci)
-            ]
-            row = gi[i]
-            row[j + 1:i + 1] = [
-                v - ((li * a - lr * b) >> frac_bits)
-                for v, a, b in zip(row[j + 1:i + 1], cr, ci)
-            ]
-    return True
 
 
 def nullspace(rows, ncols, one=Fraction(1)):

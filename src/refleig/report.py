@@ -184,18 +184,19 @@ def parse_weight(group, text) -> Weight:
         raise ParseError(str(exc)) from exc
 
 
+# the entries of v, indexed by their value + 4
+_CONSTANTS = tuple(FormalExp.constant(c) for c in range(-4, 5))
+
+
 def _equivariance_battery(m: InducedModel, rng) -> bool:
+    """EQUIVARIANCE_TRIALS random motions, each with one phase table filled
+    in one pass over the orbit (`InducedModel.phase_table`)."""
     group = m.group
     for _ in range(EQUIVARIANCE_TRIALS):
-        g = GroupElement(
-            group,
-            tuple(rng.randint(-5, 5) for _ in range(group.dimension)),
-            rng.randrange(group.order),
-        )
-        v = [
-            FormalExp.constant(rng.randint(-4, 4)) for _ in range(group.order)
-        ]
-        if not equivariance_check(m, g, v):
+        shift = tuple(rng.randint(-5, 5) for _ in range(group.dimension))
+        g = GroupElement(group, shift, rng.randrange(group.order))
+        v = [_CONSTANTS[rng.randint(-4, 4) + 4] for _ in range(group.order)]
+        if not equivariance_check(m, g, v, m.phase_table(shift)):
             return False
     return True
 
@@ -266,11 +267,11 @@ def eigenspace_section(group, invariants, harmonics, w: Weight, config: Pipeline
     commutant = commutant_dimension(
         m, _commutant_translations(m, config.precision), precision=config.precision
     )
+    eigenvalues = invariant_eigenvalues(invariants, w)
     orbit_wave = intertwiner(m, m.fixed_vector())
-    eigen_ok = eigen_check(orbit_wave, invariants, w)
+    eigen_ok = eigen_check(orbit_wave, invariants, w, eigenvalues)
     equivariance_ok = _equivariance_battery(m, rng)
-    dual_samples = dual_sample_elements(m, rng)
-    dual_ok = dual_cyclic_check(m, dual_samples, precision=config.precision)
+    dual_ok = dual_cyclic_check(m, dual_sample_elements(m), precision=config.precision)
     certified = (
         generic
         and rank == group.order
@@ -279,7 +280,6 @@ def eigenspace_section(group, invariants, harmonics, w: Weight, config: Pipeline
         and equivariance_ok
         and dual_ok
     )
-    eigenvalues = invariant_eigenvalues(invariants, w)
     return {
         "weight": [format_scalar(x) for x in w.entries],
         "generic": generic,

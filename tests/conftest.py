@@ -206,6 +206,68 @@ def base_commutant_translations(m):
     return out
 
 
+def gram_positive_definite(xs, ys, shift: int, frac_bits: int) -> bool:
+    """Whether C^H C - shift * I is positive definite, in integer fixed point:
+    the LDL^H the dual-orbit check ran before its rows were designed.
+
+    C = X + iY is the Gaussian-integer matrix whose columns have real parts
+    `xs` and imaginary parts `ys`.  Its Hermitian Gram matrix is formed
+    exactly, `shift` is on its scale and `frac_bits` is its binary point.
+    The LDL^H factorization runs in fixed point at that scale and returns
+    False at the first pivot <= 0: by Sylvester's law of inertia the matrix
+    is positive definite exactly when every pivot is positive.
+    """
+    import operator
+
+    n = len(xs)
+
+    def ip(u, v):
+        return sum(map(operator.mul, u, v))
+
+    # conj(c_i) . c_k = x_i.x_k + y_i.y_k + i (x_i.y_k - y_i.x_k), and the
+    # imaginary part is (x_i - y_i).(x_k + y_k) - x_i.x_k + y_i.y_k: three
+    # dot products per entry instead of four
+    diffs = [list(map(operator.sub, x, y)) for x, y in zip(xs, ys)]
+    sums = [list(map(operator.add, x, y)) for x, y in zip(xs, ys)]
+    gr, gi = [], []
+    for i in range(n):
+        xx = [ip(xs[i], xs[k]) for k in range(i + 1)]
+        yy = [ip(ys[i], ys[k]) for k in range(i + 1)]
+        gr.append(list(map(operator.add, xx, yy)))
+        gi.append([ip(diffs[i], sums[k]) - a + b for k, (a, b) in enumerate(zip(xx, yy))])
+    # right-looking elimination on the lower triangle; the shift moves only
+    # the diagonal, so it is applied as each pivot is read
+    for j in range(n):
+        d = gr[j][j] - shift
+        if d <= 0:
+            return False
+        cr = [gr[k][j] for k in range(j + 1, n)]
+        ci = [gi[k][j] for k in range(j + 1, n)]
+        for i in range(j + 1, n):
+            lr = (gr[i][j] << frac_bits) // d
+            li = (gi[i][j] << frac_bits) // d
+            # entry (i, k) loses l_i conj(G[k][j]) for j < k <= i
+            row = gr[i]
+            row[j + 1:i + 1] = [
+                v - ((lr * a + li * b) >> frac_bits)
+                for v, a, b in zip(row[j + 1:i + 1], cr, ci)
+            ]
+            row = gi[i]
+            row[j + 1:i + 1] = [
+                v - ((li * a - lr * b) >> frac_bits)
+                for v, a, b in zip(row[j + 1:i + 1], cr, ci)
+            ]
+    return True
+
+
+def evaluation_matrix(m, harmonics):
+    """Matrix M[i][k] = H_i(mu_k) of exact cyclotomic scalars, harmonics
+    along rows, every orbit point (duplicates included) along columns: the
+    exact matrix whose rank `eigenspace.evaluation_rank` certifies mod p."""
+    cols = m.orbit.points
+    return [[h.evaluate(mu) for mu in cols] for h in harmonics.flat_basis()]
+
+
 # -- weights ---------------------------------------------------------------------
 
 

@@ -166,6 +166,21 @@ def test_eigenspace_commutant_twin_at_a_tiny_weight(capsys):
     assert section["commutant_dim"] == 1
 
 
+def test_verify_all_certifies_a_tiny_weight(capsys):
+    # integer dual translations put every node within 10^-22 of 1, and the
+    # dual check false-failed; the designed sample scales to the orbit
+    code, rep, _ = run_json(
+        capsys,
+        "verify-all", "--builtin", "dihedral:4",
+        "--weight", "i/10^24, 2*i/10^24",
+    )
+    assert code == 0
+    (section,) = rep["eigenspace"]
+    assert section["dual_cyclic"] is True
+    assert section["status"] == "certified"
+    assert rep["checks"]["thm-3.10"] == rep["checks"]["thm-4.14"] == "pass"
+
+
 @pytest.mark.parametrize(
     "spec, weight, scale",
     [

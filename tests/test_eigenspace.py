@@ -6,6 +6,7 @@ space and counts the numeric nullspace dimension, with no shared helpers.
 """
 
 import cmath
+import operator
 import random
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 from conftest import (
     REFLECTION_BATTERY,
     degenerate_weight,
+    evaluation_matrix,
+    gram_positive_definite,
     mp_embed,
     mp_embed_formal,
 )
@@ -30,12 +33,9 @@ from refleig.cyclotomic import (
     cyc,
     prime_factors,
 )
-from refleig.errors import (
-    InsufficientSamplesError,
-    InternalConsistencyError,
-    SampleSpanError,
-)
+from refleig.errors import InternalConsistencyError, SampleSpanError
 from refleig.eigenspace import (
+    DualSample,
     FormalExp,
     InducedModel,
     PlaneWaveSum,
@@ -46,7 +46,6 @@ from refleig.eigenspace import (
     eigen_check,
     eigenspace_action,
     equivariance_check,
-    evaluation_matrix,
     evaluation_rank,
     intertwiner,
     invariant_eigenvalues,
@@ -362,6 +361,41 @@ def test_equivariance_fails_on_a_swapped_multiplication_row(spec, coords):
         assert equivariance_check(m, g, v)
 
 
+@pytest.mark.parametrize("spec, coords", _TEETH_WEIGHTS + (("dihedral:4", (1, 0)),))
+def test_phase_table_is_the_exact_pairing(spec, coords):
+    # one pass over the lifted orbit gives -<mu, x> for every orbit point,
+    # as the fused sum does, and the battery's tables change no verdict
+    group = builtin(spec)
+    m = InducedModel.build(imag_weight(group, coords))
+    rng = random.Random(97)
+    for _ in range(5):
+        shift = tuple(rng.randint(-5, 5) for _ in range(group.dimension))
+        table = m.phase_table(shift)
+        assert set(table) == set(m.orbit.points)
+        x = [cyc(t) for t in shift]
+        for mu, s in table.items():
+            assert s == -linalg.dot(mu, x)
+            assert hash(s) == hash(-linalg.dot(mu, x))
+        g = GroupElement(group, shift, rng.randrange(group.order))
+        v = [FormalExp.constant(rng.randint(-4, 4)) for _ in range(m.dimension)]
+        assert equivariance_check(m, g, v, table)
+    assert m.phase_table((0,) * group.dimension) == {mu: ZERO for mu in m.orbit.points}
+
+
+def test_phase_table_keeps_the_teeth_of_a_wrong_rotation(monkeypatch):
+    # a k mu outside the orbit misses the table and is paired on the spot
+    group, m, v, elements = _teeth_setup(*_TEETH_WEIGHTS[1])
+    # the translation `_teeth_setup` gives every element
+    table = m.phase_table(range(1, group.dimension + 1))
+    mu = m.orbit.points[1]
+    for g in elements[:5]:
+        memo = group.rotated_points[g.rotation]
+        assert equivariance_check(m, g, v, dict(table))
+        with monkeypatch.context() as patch:
+            patch.setitem(memo, mu, tuple(x + 1 for x in memo[mu]))
+            assert not equivariance_check(m, g, v, dict(table))
+
+
 def test_eigenspace_action_is_multiplicative():
     rng = random.Random(23)
     group = builtin("dihedral:5")
@@ -425,6 +459,44 @@ def test_eigen_check_rejects_off_orbit_exponent(pipeline):
     assert not eigen_check(stray, invariants, w)
 
 
+@pytest.mark.parametrize("spec", ["symmetric:4", "dihedral:5"])
+def test_eigen_check_keeps_its_teeth(pipeline, spec):
+    # a generic orbit passes; one orbit point moved off the orbit in two
+    # coordinates, or one generator coefficient changed, fails
+    group, invariants, _ = pipeline(spec)
+    w = random_generic_weight(group, random.Random(89))
+    m = InducedModel.build(w)
+    p = intertwiner(m, m.fixed_vector())
+    assert eigen_check(p, invariants, w)
+    points = list(p.waves)
+    for j in (0, len(points) // 2, len(points) - 1):
+        mu = list(points[j])
+        mu[0], mu[1] = mu[0] + I, mu[1] - I
+        assert tuple(mu) not in p.waves
+        waves = dict(p.waves)
+        waves[tuple(mu)] = waves.pop(points[j])
+        assert not eigen_check(PlaneWaveSum(group.dimension, waves), invariants, w)
+    for gen in invariants.generators:
+        e, c = next(iter(gen.terms.items()))
+        gen.terms[e] = c + 1
+        try:
+            assert not eigen_check(p, invariants, w)
+        finally:
+            gen.terms[e] = c
+    assert eigen_check(p, invariants, w)
+
+
+def test_eigen_check_takes_the_eigenvalues_once(pipeline):
+    group, invariants, _ = pipeline("dihedral:5")
+    w = imag_weight(group, (1, 3))
+    m = InducedModel.build(w)
+    p = intertwiner(m, m.fixed_vector())
+    values = invariant_eigenvalues(invariants, w)
+    assert eigen_check(p, invariants, w, values)
+    wrong = [values[0] + 1] + values[1:]
+    assert not eigen_check(p, invariants, w, wrong)
+
+
 def test_degree_two_eigenvalue_identity(pipeline):
     # the unique degree-2 invariant of a dihedral group is a multiple of
     # x^2 + y^2, so its eigenvalue at i*(a, b) is -(a^2 + b^2) times the
@@ -447,17 +519,15 @@ def test_degree_two_eigenvalue_identity(pipeline):
 def test_dual_samples_separate_the_orbit():
     group = builtin("dihedral:4")
     m = InducedModel.build(imag_weight(group, (1, 0)))
-    samples = dual_sample_elements(m)
-    assert len(samples) == group.order
-    assert all(g.rotation == 0 for g in samples)
-    # the chosen translation separates orbit classes exactly
-    y = samples[1].translation
+    sample = dual_sample_elements(m)
+    # the designed translation separates orbit classes exactly
+    x = sample.translation
     reps = [m.orbit.points[cls[0]] for cls in m.orbit.classes]
-    pairings = [linalg.dot(mu, y) for mu in reps]
+    pairings = [linalg.dot(mu, x) for mu in reps]
     assert len(set(pairings)) == len(pairings)
-    # deterministic without an explicit rng
-    again = dual_sample_elements(m)
-    assert [g.translation for g in again] == [g.translation for g in samples]
+    # every angle in [-1.5, 1.5]; deterministic, with nothing drawn
+    assert all(abs((s / I).to_fraction()) <= Fraction(3, 2) for s in pairings)
+    assert dual_sample_elements(m) == sample
 
 
 def test_dual_cyclic_tracks_genericity():
@@ -468,41 +538,67 @@ def test_dual_cyclic_tracks_genericity():
     assert not dual_cyclic_check(pinned, dual_sample_elements(pinned))
 
 
-def test_dual_samples_widen_the_box_when_it_cannot_separate():
-    # no point of [-9, 9]^3 separates the 48 orbit points of this weight
+def test_designed_sample_separates_what_a_small_box_cannot():
+    # no point of [-9, 9]^3 separates the 48 orbit points of this weight;
+    # the design takes y = (1, B, B^2) with B = 2 * 4 + 1 and scales it so
+    # the largest pairing, 4 + 4 B + 4 B^2 = 364, meets the angle 1.5
     group = builtin("hyperoctahedral:3")
     m = InducedModel.build(imag_weight(group, (-3, 4, -1)))
-    samples = dual_sample_elements(m, random.Random(0), max_tries=50)
-    y = samples[1].translation
-    assert max(abs(t.to_fraction()) for t in y) > 9
-    assert dual_cyclic_check(m, samples)
+    sample = dual_sample_elements(m)
+    c = Fraction(3, 2 * 364)
+    assert sample.translation == (c, 9 * c, 81 * c)
+    assert sample.gap_bits == (2 * 364).bit_length()
+    assert dual_cyclic_check(m, sample)
 
 
-def test_dual_cyclic_rejects_small_or_redundant_samples():
-    group = builtin("dihedral:3")
-    m = InducedModel.build(imag_weight(group, (1, 2)))
-    samples = dual_sample_elements(m)
-    with pytest.raises(InsufficientSamplesError):
-        dual_cyclic_check(m, samples[:-1])
-    stuck = [GroupElement(group, (ZERO, ZERO), 0)] * group.order
-    assert not dual_cyclic_check(m, stuck)
-    # only the powers (j y, k) of one translation are accepted
-    for bad in (
-        samples[:2] + samples[3:] + samples[2:3],
-        [random_element(group, random.Random(3)) for _ in range(group.order)],
-    ):
-        with pytest.raises(ValueError):
-            dual_cyclic_check(m, bad)
+def test_designed_sample_of_an_irrational_orbit():
+    # dihedral:5 coordinates lie in Q(zeta_20), phi(20) / 2 = 4, so the
+    # gap bound is (2Q)^-4; B starts at 2M + 1 and the pairings are distinct
+    group = builtin("dihedral:5")
+    m = InducedModel.build(imag_weight(group, (1, 3)))
+    sample = dual_sample_elements(m)
+    reps = [m.orbit.points[cls[0]] for cls in m.orbit.classes]
+    angles = [linalg.dot(mu, sample.translation) / I for mu in reps]
+    values = [mp_embed(a, 200).real for a in angles]
+    assert max(abs(v) for v in values) <= 1.5
+    gap = min(abs(u - v) for j, u in enumerate(values) for v in values[:j])
+    assert gap > mpmath.mpf(2) ** -sample.gap_bits
+    assert sample.gap_bits % 4 == 0
+    assert dual_cyclic_check(m, sample)
 
 
-def test_corrupted_phase_is_an_internal_error(monkeypatch):
-    # the powered rows are checked against model_act at the last sample
+def test_dual_cyclic_rejects_small_or_redundant_samples(monkeypatch):
     from refleig import eigenspace
 
     group = builtin("dihedral:3")
     m = InducedModel.build(imag_weight(group, (1, 2)))
-    samples = dual_sample_elements(m)
-    assert dual_cyclic_check(m, samples)
+    sample = dual_sample_elements(m)
+    # a translation scaled below its designed gap, or one that does not
+    # separate the orbit at all, contradicts the design: an internal error
+    shrink = Fraction(1, 2 ** (sample.gap_bits + 8))
+    for x in (tuple(t * shrink for t in sample.translation), (ZERO, ZERO)):
+        with pytest.raises(InternalConsistencyError):
+            dual_cyclic_check(m, DualSample(x, sample.gap_bits))
+    # a redundant orbit fails with no numeric work
+    pinned = InducedModel.build(imag_weight(group, (1, 0)))
+    assert not is_generic(pinned.weight)
+
+    def no_phases(*_args):
+        raise AssertionError("numeric work on equal columns")
+
+    monkeypatch.setattr(eigenspace, "_phases", no_phases)
+    assert not dual_cyclic_check(pinned, dual_sample_elements(pinned))
+    assert not dual_cyclic_check(InducedModel.build(zero_weight(group)), sample)
+
+
+def test_corrupted_phase_is_an_internal_error(monkeypatch):
+    # the powered phases are checked against model_act at the last row
+    from refleig import eigenspace
+
+    group = builtin("dihedral:3")
+    m = InducedModel.build(imag_weight(group, (1, 2)))
+    sample = dual_sample_elements(m)
+    assert dual_cyclic_check(m, sample)
     phases = eigenspace._phases
     calls = []
 
@@ -517,7 +613,44 @@ def test_corrupted_phase_is_an_internal_error(monkeypatch):
 
     monkeypatch.setattr(eigenspace, "_phases", corrupt_first_row)
     with pytest.raises(InternalConsistencyError):
-        dual_cyclic_check(m, samples)
+        dual_cyclic_check(m, sample)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "spec, coords",
+    [
+        # the two weights verify-all symmetric:5 --seed 1 false-failed when
+        # its translations were drawn at random
+        ("symmetric:5", (-6, 6, -9, 3, 4)),
+        ("symmetric:5", (-9, 5, -1, -2, 9)),
+        # no translation in the drawn boxes separated this 384-point orbit
+        ("hyperoctahedral:4", (3, 4, -8, -1)),
+    ],
+)
+def test_designed_sample_certifies_large_orbits(spec, coords):
+    group = builtin(spec)
+    m = InducedModel.build(imag_weight(group, coords))
+    assert is_generic(m.weight)
+    sample = dual_sample_elements(m)
+    base = 2 * max(map(abs, coords)) + 1
+    top = max(map(abs, coords)) * sum(base**j for j in range(len(coords)))
+    c = Fraction(3, 2 * top)
+    assert sample.translation == tuple(base**j * c for j in range(len(coords)))
+    assert dual_cyclic_check(m, sample)
+
+
+def test_designed_sample_scales_tiny_and_huge_weights():
+    # i/10^24: every node lay within 10^-22 of 1 under integer translations
+    from refleig.report import parse_weight
+
+    group = builtin("dihedral:4")
+    for text in ("i/10^24, 2*i/10^24", "i*10^30, i", "i*10^30, 3*i*10^30"):
+        m = InducedModel.build(parse_weight(group, text))
+        sample = dual_sample_elements(m)
+        angles = [linalg.dot(mu, sample.translation) / I for mu in m.orbit.points]
+        assert 1 <= max(abs(a.to_fraction()) for a in angles) <= Fraction(3, 2)
+        assert dual_cyclic_check(m, sample)
 
 
 def reference_phases(exponents, precision):
@@ -565,18 +698,65 @@ def test_phases_match_the_mpmath_reference(exponents, precision):
         assert abs(a - ra) <= 2 and abs(b - rb) <= 2
 
 
-def reference_dual_rows(m, samples, precision=128):
-    """Rows pi^c(g) u*, each entry embedded on its own from `model_act`:
-    nothing is shared with the library's powers of one phase row."""
-    u = m.fixed_vector()
-    with mpmath.workprec(precision + 10):
-        return [
-            [
-                mpmath.conj(mp_embed_formal(entry, precision))
-                for entry in model_act(m, g, u)
-            ]
-            for g in samples
-        ]
+def designed_rows(m, sample, precision=128):
+    """The row count r of the designed sample, from the phases of the
+    distinct orbit points at the check's working precision; for a weight
+    with duplicate points, which the check rejects with no numeric work,
+    it is the r its distinct points would get."""
+    from refleig import eigenspace
+
+    work = precision + sample.gap_bits + m.dimension.bit_length() + 11
+    z = eigenspace._action_phases(m, GroupElement(m.group, sample.translation, 0), work)
+    distinct = [z[cls[0]] for cls in m.orbit.classes]
+    return eigenspace._gershgorin_rows(distinct, work + 10, sample.gap_bits)
+
+
+def sample_exponents(m, sample):
+    """The exponents s_h = -<mu_h, x> of the phases z_h = e^(s_h), read
+    from `model_act` at (x, 0)."""
+    g = GroupElement(m.group, sample.translation, 0)
+    return [next(iter(e.terms)) for e in model_act(m, g, m.fixed_vector())]
+
+
+def closed_form_svd_full_rank(m, sample, r, precision=128):
+    """Reference: every singular value of the r rows conj(z_h)^j above
+    t = 2^(-precision/2), from the mpmath singular values of their Gram
+    matrix G = A^H A in closed form, G_hh' = sum_j w^j with
+    w = e^(s_h - s_h'): r where the exponents are equal, else
+    (1 - w^r) / (1 - w).  Nothing is shared with the fixed-point route."""
+    s = sample_exponents(m, sample)
+    n = len(s)
+    prec = 2 * precision + 64
+    with mpmath.workprec(prec):
+        gram = mpmath.matrix(n, n)
+        for a in range(n):
+            for b in range(n):
+                if s[a] == s[b]:
+                    gram[a, b] = r
+                else:
+                    d = mp_embed(s[a] - s[b], prec)
+                    gram[a, b] = (1 - mpmath.exp(r * d)) / (1 - mpmath.exp(d))
+        sing = mpmath.svd(gram, compute_uv=False)
+        return min(sing[k] for k in range(n)) > mpmath.mpf(2) ** (-2 * (precision // 2))
+
+
+def fixed_point_rows(m, sample, r, precision=128):
+    """The r designed rows conj(z_h)^j by columns, real and imaginary
+    integer parts at scale 2^P, P = precision + 10 + bit_length(r) + 8:
+    each z_h embedded by mpmath (`reference_phases`), each row the row
+    before times conj(z), within about 2r + 1 units an entry."""
+    bits = precision + 10 + r.bit_length() + 8
+    xs, ys = [], []
+    for a, b in reference_phases(sample_exponents(m, sample), bits - 10):
+        x, y = 1 << bits, 0
+        col_x, col_y = [x], [y]
+        for _ in range(r - 1):
+            x, y = (x * a + y * b) >> bits, (y * a - x * b) >> bits
+            col_x.append(x)
+            col_y.append(y)
+        xs.append(col_x)
+        ys.append(col_y)
+    return bits, xs, ys
 
 
 def svd_full_rank(rows, precision):
@@ -587,21 +767,56 @@ def svd_full_rank(rows, precision):
         return all(sing[k] > threshold for k in range(sing.rows))
 
 
-@pytest.mark.parametrize("spec", REFLECTION_BATTERY)
-def test_dual_criterion_matches_the_svd_reference(spec):
-    # a generic, a degenerate and the zero weight: the Gram-matrix LDL^T
-    # verdict equals the SVD verdict, and both track genericity
-    group = builtin(spec)
-    rng = random.Random(71)
-    for w in (
+def _battery_weights(group, rng):
+    return (
         random_generic_weight(group, rng),
         degenerate_weight(group, rng),
         zero_weight(group),
-    ):
+    )
+
+
+@pytest.mark.parametrize("spec", REFLECTION_BATTERY)
+def test_dual_criterion_matches_the_svd_reference(spec):
+    # a generic, a degenerate and the zero weight: the Gershgorin verdict on
+    # the designed sample equals the SVD verdict on the Gram matrix of its
+    # r rows, and both track genericity
+    group = builtin(spec)
+    rng = random.Random(71)
+    for w in _battery_weights(group, rng):
         m = InducedModel.build(w)
-        samples = dual_sample_elements(m, rng)
-        verdict = dual_cyclic_check(m, samples)
-        assert verdict == svd_full_rank(reference_dual_rows(m, samples), 128)
+        sample = dual_sample_elements(m)
+        verdict = dual_cyclic_check(m, sample)
+        r = designed_rows(m, sample)
+        assert r >= m.orbit.distinct_count
+        assert verdict == closed_form_svd_full_rank(m, sample, r)
+        assert verdict == is_generic(w)
+
+
+@pytest.mark.parametrize("spec", ["dihedral:3", "dihedral:4", "dihedral:5", "symmetric:3"])
+def test_designed_rows_match_the_ldl_and_svd_references(spec):
+    # the explicit fixed-point rows of the designed (x, r): the LDL^H of
+    # their exact Gram matrix and the mpmath SVD of the same matrix give
+    # the verdict of the check
+    group = builtin(spec)
+    rng = random.Random(83)
+    for w in _battery_weights(group, rng):
+        m = InducedModel.build(w)
+        sample = dual_sample_elements(m)
+        verdict = dual_cyclic_check(m, sample)
+        r = designed_rows(m, sample)
+        bits, xs, ys = fixed_point_rows(m, sample, r)
+        t_sq = 1 << (2 * (bits - 64))
+        assert gram_positive_definite(xs, ys, t_sq, 2 * bits) == verdict
+        n = len(xs)
+        with mpmath.workprec(2 * bits + 64):
+            gram = mpmath.matrix(n, n)
+            for a in range(n):
+                for b in range(n):
+                    re = sum(map(operator.mul, xs[a], xs[b])) + sum(map(operator.mul, ys[a], ys[b]))
+                    im = sum(map(operator.mul, xs[a], ys[b])) - sum(map(operator.mul, ys[a], xs[b]))
+                    gram[a, b] = mpmath.mpc(mpmath.ldexp(re, -2 * bits), mpmath.ldexp(im, -2 * bits))
+            sing = mpmath.svd(gram, compute_uv=False)
+            assert (min(sing[k] for k in range(n)) > mpmath.mpf(2) ** -128) == verdict
         assert verdict == is_generic(w)
 
 
@@ -617,7 +832,7 @@ def random_unitary(n, rng):
 
 
 def real_form_positive_definite(xs, ys, shift, frac_bits):
-    """Reference for `linalg.gram_positive_definite`: an LDL^T of the real form.
+    """Reference for `gram_positive_definite`: an LDL^T of the real form.
 
     The real form R = [[X, -Y], [Y, X]] of C = X + iY has the singular
     values of C, each twice, so R^T R - shift * I is positive definite
@@ -658,13 +873,13 @@ def test_full_rank_criterion_at_the_threshold(precision, shape, side):
             diag[k, k] = s
         a = random_unitary(nrows, rng) * diag * random_unitary(ncols, rng)
         rows = [[a[i, j] for j in range(ncols)] for i in range(nrows)]
-    # the fixed point of `dual_cyclic_check`: scale 2^P, P = precision + 10
+    # fixed point at scale 2^P, P = precision + 10
     bits = precision + 10
     cols = list(zip(*rows))
     xs = [[int(mpmath.ldexp(v.real, bits)) for v in col] for col in cols]
     ys = [[int(mpmath.ldexp(v.imag, bits)) for v in col] for col in cols]
     t_sq = 1 << (2 * (bits - precision // 2))
-    assert linalg.gram_positive_definite(xs, ys, t_sq, 2 * bits) == (side > 0)
+    assert gram_positive_definite(xs, ys, t_sq, 2 * bits) == (side > 0)
     assert real_form_positive_definite(xs, ys, t_sq, 2 * bits) == (side > 0)
     assert svd_full_rank(rows, precision) == (side > 0)
 
@@ -705,26 +920,23 @@ def test_hermitian_ldl_matches_the_real_form_and_the_exact_rank(mat):
     shift = 1 << (2 * frac - 60)
     exact = [[cyc(a) + I * b for a, b in row] for row in mat]
     expected = linalg.rank(exact, ncols) == ncols
-    assert linalg.gram_positive_definite(xs, ys, shift, 2 * frac) == expected
+    assert gram_positive_definite(xs, ys, shift, 2 * frac) == expected
     assert real_form_positive_definite(xs, ys, shift, 2 * frac) == expected
 
 
 def test_dual_criterion_with_more_samples_than_the_group_order():
+    # rows past the designed r only raise sigma_min: r + 7 and 2r rows keep
+    # the verdict, and a duplicate column keeps sigma_min at 0 for any r
     group = builtin("dihedral:5")
     rng = random.Random(79)
     generic = InducedModel.build(random_generic_weight(group, rng))
     pinned = InducedModel.build(degenerate_weight(group, rng))
     for m, expected in ((generic, True), (pinned, False)):
-        # |K| + 7 powers of the sampled translation, with any rotations
-        y = dual_sample_elements(m, rng)[1].translation
-        samples = [
-            GroupElement(group, tuple(j * t for t in y), rng.randrange(group.order))
-            for j in range(group.order + 7)
-        ]
-        assert dual_cyclic_check(m, samples) == expected
-        assert svd_full_rank(reference_dual_rows(m, samples), 128) == expected
-    stuck = [GroupElement(group, (ZERO, ZERO), 0)] * (group.order + 5)
-    assert not dual_cyclic_check(generic, stuck)
+        sample = dual_sample_elements(m)
+        assert dual_cyclic_check(m, sample) == expected
+        r = designed_rows(m, sample)
+        for rows in (r + 7, 2 * r):
+            assert closed_form_svd_full_rank(m, sample, rows) == expected
 
 
 # -- evaluation matrix -------------------------------------------------------------
