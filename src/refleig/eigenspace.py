@@ -38,10 +38,14 @@ numerically at high precision and exactly from the orbit block structure,
 and both must agree.
 
 Both numeric routes work in integer fixed point and threshold at
-t = 2^(-(p // 2)) for the working precision p.  One helper, `_phases`,
-embeds each e^s they need once, through the integer embedding of
-`cyclotomic` (`Cyclotomic.embed`, `cis_fixed`), within 5/8 of a unit at
-scale 2^(p + 10); the dual-orbit test asks it for more bits than p.
+t = 2^(-(p // 2)) for the working precision p.  Each is sound only on a
+sample designed from the orbit for that t, so each certificate takes the
+model and p and designs its own: `_commutant_translations` for the
+commutant, `dual_sample_elements` for the dual-orbit test.  No caller
+supplies a sample.  One helper, `_phases`, embeds each e^s they need once,
+through the integer embedding of `cyclotomic` (`Cyclotomic.embed`,
+`cis_fixed`), within 5/8 of a unit at scale 2^(p + 10); the dual-orbit test
+asks it for more bits than p.
 
 The dual-orbit test of Theorem 3.10 is the independent numeric route.  Its
 sample is designed from the orbit (`dual_sample_elements`): the powers
@@ -79,7 +83,7 @@ from .cyclotomic import (
     euler_phi,
     sum_of_products,
 )
-from .errors import InternalConsistencyError, SampleSpanError
+from .errors import InternalConsistencyError
 from .groups import GroupElement, ReflectionGroup
 from .harmonics import HarmonicSpace
 
@@ -122,6 +126,7 @@ class Orbit:
     points: tuple  # tuple of n-tuples of Cyclotomic, one per element
     classes: tuple  # tuple of tuples of element indices with equal points
     point_class: tuple  # element index -> class id
+    reps: tuple  # the distinct points, one per class, in class order
 
     @property
     def distinct_count(self):
@@ -157,6 +162,7 @@ def orbit(w: Weight) -> Orbit:
         points,
         tuple(tuple(c) for c in classes),
         tuple(point_class),
+        tuple(class_of),
     )
 
 
@@ -296,7 +302,7 @@ class InducedModel:
         """The distinct orbit points over one order and denominator
         (`cyclotomic.common_lift`), each with the integer vector of each
         coordinate."""
-        reps = [self.orbit.points[cls[0]] for cls in self.orbit.classes]
+        reps = self.orbit.reps
         coords = list({x for mu in reps for x in mu})
         order, den, vecs = common_lift(coords)
         lifted = dict(zip(coords, vecs))
@@ -445,19 +451,17 @@ def equivariance_check(m: InducedModel, g: GroupElement, v, phases=None) -> bool
     return lhs == rhs
 
 
-def eigen_check(p: PlaneWaveSum, invariants, w: Weight, eigenvalues=None) -> bool:
-    """Every exponent of p gives the same invariant values as the weight.
+def eigen_check(p: PlaneWaveSum, invariants, eigenvalues) -> bool:
+    """Every exponent of p gives the invariant values `eigenvalues`.
 
     This is the exact statement that p lies in the joint eigenspace cut out
-    by the invariant differential operators at the weight's eigenvalues,
-    `eigenvalues` when the caller has them.  The generators are evaluated
+    by the invariant differential operators at those eigenvalues, the
+    weight's from `invariant_eigenvalues`.  The generators are evaluated
     at every exponent from one table of powers per distinct coordinate
     value, keyed by the value, each value of a generator one fused sum
     (`cyclotomic.sum_of_products`).
     """
     gens = invariants.generators
-    if eigenvalues is None:
-        eigenvalues = invariant_eigenvalues(invariants, w)
     top = max((gen.degree() for gen in gens), default=0)
     powers = {}
     for mu in p.waves:
@@ -557,7 +561,7 @@ def dual_sample_elements(m: InducedModel) -> DualSample:
     nonzero integer, so |a| >= (2Q)^(1 - e) with e = phi(N) / 2, and the
     angles differ by more than 2^(-gap_bits), gap_bits = e bit_length(2Q).
     """
-    reps = [m.orbit.points[cls[0]] for cls in m.orbit.classes]
+    reps = m.orbit.reps
     n = m.group.dimension
     coords = {x for mu in reps for x in mu}
     den = math.lcm(*(x.den for x in coords))
@@ -576,14 +580,15 @@ def dual_sample_elements(m: InducedModel) -> DualSample:
     )
 
 
-def dual_cyclic_check(m: InducedModel, sample: DualSample, precision: int = 128) -> bool:
+def dual_cyclic_check(m: InducedModel, precision: int = 128) -> bool:
     """Numeric test that the dual orbit of the fixed functional spans.
 
-    The rows pi^c(g_j) u* over the samples g_j = (j x, 0), j < r, form
-    the Vandermonde matrix A with entries conj(z_h)^j, z_h = e^(-<mu_h, x>)
-    read from `model_act` at (x, 0).  The check passes when every singular
-    value of A exceeds t = 2^(-(precision // 2)), that is, when
-    A^H A - t^2 I is positive definite.
+    The rows pi^c(g_j) u* over the samples g_j = (j x, 0), j < r, of the
+    sample `dual_sample_elements(m)` designs form the Vandermonde matrix A
+    with entries conj(z_h)^j, z_h = e^(-<mu_h, x>) read from `model_act`
+    at (x, 0).  The check passes when every singular value of A exceeds
+    t = 2^(-(precision // 2)), that is, when A^H A - t^2 I is positive
+    definite.
 
     A duplicate orbit point gives two equal columns, so sigma_min = 0
     exactly and the check fails with no numeric work.  Otherwise
@@ -602,6 +607,7 @@ def dual_cyclic_check(m: InducedModel, sample: DualSample, precision: int = 128)
     """
     if m.orbit.distinct_count < m.dimension:
         return False
+    sample = dual_sample_elements(m)
     group = m.group
     work = precision + sample.gap_bits + m.dimension.bit_length() + 11
     bits = work + 10
@@ -688,9 +694,8 @@ def evaluation_rank(m: InducedModel, harmonics: HarmonicSpace) -> int:
     Otherwise the exact matrix is built and eliminated over the cyclotomic
     field.
     """
-    orb = m.orbit
     basis = harmonics.flat_basis()
-    cols = [orb.points[cls[0]] for cls in orb.classes]
+    cols = m.orbit.reps
     if basis and cols:
         red = Reduction(
             [x for mu in cols for x in mu]
@@ -716,33 +721,81 @@ def evaluation_rank(m: InducedModel, harmonics: HarmonicSpace) -> int:
 # -- commutant --------------------------------------------------------------------
 
 
-def _check_spanning(group, translations):
-    if not translations:
-        raise SampleSpanError("no sample translations given")
-    rows = [[cyc(x) for x in t] for t in translations]
-    for row in rows:
-        for x in row:
-            if not x.is_real():
-                raise ValueError("sample translations must be real")
-    if linalg.rank(rows, group.dimension) != group.dimension:
-        raise SampleSpanError(
-            "sample translations do not span the ambient space"
-        )
+def _commutant_translations(m: InducedModel, precision: int = 128):
+    """The translations 2^(-k) e_i, with 2^k the least power of two at least
+    2 max_h |mu_h[i]|, and further ones on an axis whose coordinates differ
+    by more than that scale can show.
+
+    Every nonzero difference d of the coordinates on axis i pairs to
+    |d| 2^(-k) in (0, 1], where the phases it compares stay far apart
+    compared with the numeric threshold t = 2^(-precision/2) as long as
+    |d| 2^(-k) >= 2t.  A difference below 2t there gets 2^(-k_d) e_i with
+    |d| 2^(-k_d) in (1/4, 1/2], largest d first, unless a translation the
+    axis already has puts it in [2t, 1]: one at 2^(-k) with
+    k_d - 1 <= k <= k_d + precision/2 - 3.
+    """
+    n = m.group.dimension
+    half = precision // 2
+    out = []
+    for i in range(n):
+        values = list({pt[i] for pt in m.orbit.points})
+        k = max((_twice_abs_exponent(x) for x in values if x), default=0)
+        scales = [k]
+        # each value at 2^(-k), embedded at scale 2^(half + 4) within one
+        # unit a part, so a difference is within 3 units of its pairing;
+        # 2t is 2^5 units there
+        scale = Fraction(2) ** -k
+        scaled = [(x * scale).embed(half + 4) for x in values]
+        limit = (2**5 + 3) ** 2
+        small = set()
+        for j, (ra, ia) in enumerate(scaled):
+            for jb in range(j + 1, len(values)):
+                rb, ib = scaled[jb]
+                if (ra - rb) ** 2 + (ia - ib) ** 2 < limit:
+                    small.add(_twice_abs_exponent(values[j] - values[jb]))
+        for kd in sorted(small, reverse=True):
+            if not any(kd - 1 <= s <= kd + half - 3 for s in scales[1:]):
+                scales.append(kd)
+        for k in scales:
+            out.append(tuple(Fraction(2) ** -k if j == i else 0 for j in range(n)))
+    return out
 
 
-def commutant_dimension(m: InducedModel, sample_translations, precision: int = 128) -> int:
+def _twice_abs_exponent(x) -> int:
+    """The least k with 2^k >= 2 |x| for a nonzero cyclotomic x.
+
+    |x|^2 is read as re^2 + im^2 from `Cyclotomic.embed`, at a scale where
+    |x| is at least 2^62 units.  The scale starts 64 bits past the
+    denominator's, so a rational multiple of a power of i, such as a
+    coordinate of a weight in Q(i)^n, embeds exactly, and a modulus that is
+    a power of two is found exactly.
+    """
+    q = 64 + x.den.bit_length()
+    while True:
+        re, im = x.embed(q)
+        norm = re * re + im * im
+        if norm >> 124:
+            # 4 |x|^2 <= 4^(k+q) holds first at 2(k + q) = bit_length(4 norm - 1)
+            return ((4 * norm - 1).bit_length() + 1) // 2 - q
+        q += 64
+
+
+def commutant_dimension(m: InducedModel, precision: int = 128) -> int:
     """Dimension of the commutant of the sampled representation.
 
     Two independent routes must agree:
 
-    * numeric: solve A pi(g) = pi(g) A over all rotations and the sample
-      translations.  The rotation actions are permutation matrices, so their
-      exact commutant is the convolution algebra A[h, h'] = a(h^-1 h');
+    * numeric: solve A pi(g) = pi(g) A over all rotations and the
+      translations `_commutant_translations` designs from the orbit for
+      this precision.  The rotation actions are permutation matrices, so
+      their exact commutant is the convolution algebra A[h, h'] = a(h^-1 h');
       imposing the translation constraints on a gives a linear system with
       one nonzero coefficient per row, whose columns are orthogonal.  Its
       numeric nullspace counts the columns whose norm is below
       2^(-precision/2), each squared norm an exact integer sum of the
-      fixed-point phase differences from `_phases`.
+      fixed-point phase differences from `_phases`.  Each translation is
+      paired with the distinct orbit points only, and every element reads
+      the phases of its point's class.
 
     * exact: the translation action is diagonal over the orbit exponents, so
       the commutant is supported on orbit-duplicate blocks; intersecting with
@@ -750,7 +803,6 @@ def commutant_dimension(m: InducedModel, sample_translations, precision: int = 1
       stabilizer.  The dimension is counted with exact comparisons.
     """
     group = m.group
-    _check_spanning(group, sample_translations)
     table = m.group.mult_table
 
     # exact block-structure path
@@ -760,15 +812,16 @@ def commutant_dimension(m: InducedModel, sample_translations, precision: int = 1
         for g in range(group.order)
     )
 
-    # numeric path at the requested precision: per orbit element h, the
-    # phases e^(-<mu_h, x>) of every sample translation x in fixed point
+    # numeric path at the requested precision: per orbit class, the phases
+    # e^(-<mu, x>) of every designed translation x in fixed point
     bits = precision + 10
     t_sq = 1 << (2 * (bits - precision // 2))
     per_x = []
-    for t in sample_translations:
+    for t in _commutant_translations(m, precision):
         x = [cyc(v) for v in t]
-        per_x.append(_phases([-linalg.dot(mu, x) for mu in m.orbit.points], precision))
-    phase = [[v for z in zs for v in z] for zs in zip(*per_x)]
+        per_x.append(_phases([-linalg.dot(mu, x) for mu in m.orbit.reps], precision))
+    per_class = [[v for z in zs for v in z] for zs in zip(*per_x)]
+    phase = [per_class[c] for c in pclass]
     numeric_dim = 0
     for g in range(group.order):
         # an exact integer that only grows: it stops once it reaches t^2

@@ -39,9 +39,5 @@ class GeneratorSearchError(RefleigError):
     """No new fundamental invariant exists at a required degree."""
 
 
-class SampleSpanError(RefleigError):
-    """Sample translations do not span the ambient space."""
-
-
 class InternalConsistencyError(RefleigError):
     """An invariant that should hold by theory failed; indicates a bug."""

@@ -67,32 +67,14 @@ def mat_mul(a, b):
 def rref(rows, ncols):
     """Reduced row echelon form; returns (rows, pivot_columns).
 
+    Each row has `ncols` entries.  The rows are fed to a `RowSpan`, whose
+    rows are that form: it is unique, so any elimination order gives it.
     Input rows are not modified.  Zero rows are dropped from the output.
     """
-    work = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        # one inverse per pivot: dividing each entry would invert it again
-        scale = 1 / work[r][c]
-        work[r] = [x * scale for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+    span = RowSpan(ncols)
+    for row in rows:
+        span.add(row)
+    return span.rows, span.pivot_cols
 
 
 def rank(rows, ncols=None):
@@ -198,7 +180,7 @@ class RowSpan:
                 break
         if lead is None:
             return False
-        # one inverse per pivot, as in `rref`
+        # one inverse per pivot: dividing each entry would invert it again
         scale = 1 / red[lead]
         red = [x * scale for x in red]
         for i, (row, pcol) in enumerate(zip(self.rows, self.pivot_cols)):

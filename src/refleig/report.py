@@ -2,6 +2,9 @@
 
 `verify_all` runs the whole chain and `stage_report` only the stages one
 subcommand prints; both open with `header` and time each stage in a `Timings`.
+`eigenspace_section` runs each certificate of one weight at the configured
+precision; the certificates design their own samples, and only the
+equivariance battery draws from the shared rng.
 
 A report is a plain dict with a fixed key order so that JSON output is
 byte-identical across runs with the same inputs and flags.  Wall-clock
@@ -17,16 +20,14 @@ import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import __version__
+from . import __version__, linalg
 from .eigenspace import (
     InducedModel,
     FormalExp,
     Weight,
     commutant_dimension,
     dual_cyclic_check,
-    dual_sample_elements,
     equivariance_check,
     eigen_check,
     evaluation_rank,
@@ -35,7 +36,12 @@ from .eigenspace import (
     random_generic_weight,
     zero_weight,
 )
-from .errors import NonOrthogonalError, NotReflectionSeriesError, ParseError
+from .errors import (
+    InternalConsistencyError,
+    NonOrthogonalError,
+    NotReflectionSeriesError,
+    ParseError,
+)
 from .groups import GroupElement, ReflectionGroup, is_pseudo_reflection_group
 from .harmonics import (
     compute_harmonics,
@@ -190,88 +196,36 @@ _CONSTANTS = tuple(FormalExp.constant(c) for c in range(-4, 5))
 
 def _equivariance_battery(m: InducedModel, rng) -> bool:
     """EQUIVARIANCE_TRIALS random motions, each with one phase table filled
-    in one pass over the orbit (`InducedModel.phase_table`)."""
+    in one pass over the orbit (`InducedModel.phase_table`).
+
+    Both sides of the identity read that table, so it cannot see a wrong
+    phase value; each trial checks the entry of the rotated point against
+    its own pairing (`linalg.dot`) first.
+    """
     group = m.group
     for _ in range(EQUIVARIANCE_TRIALS):
         shift = tuple(rng.randint(-5, 5) for _ in range(group.dimension))
         g = GroupElement(group, shift, rng.randrange(group.order))
         v = [_CONSTANTS[rng.randint(-4, 4) + 4] for _ in range(group.order)]
-        if not equivariance_check(m, g, v, m.phase_table(shift)):
+        phases = m.phase_table(shift)
+        mu = m.orbit.points[g.rotation]
+        if phases[mu] != -linalg.dot(mu, g.translation):
+            raise InternalConsistencyError("phase table disagrees with the pairing")
+        if not equivariance_check(m, g, v, phases):
             return False
     return True
-
-
-def _commutant_translations(m: InducedModel, precision: int = 128):
-    """The translations 2^(-k) e_i, with 2^k the least power of two at least
-    2 max_h |mu_h[i]|, and further ones on an axis whose coordinates differ
-    by more than that scale can show.
-
-    Every nonzero difference d of the coordinates on axis i pairs to
-    |d| 2^(-k) in (0, 1], where the phases it compares stay far apart
-    compared with the numeric threshold t = 2^(-precision/2) as long as
-    |d| 2^(-k) >= 2t.  A difference below 2t there gets 2^(-k_d) e_i with
-    |d| 2^(-k_d) in (1/4, 1/2], largest d first, unless a translation the
-    axis already has puts it in [2t, 1]: one at 2^(-k) with
-    k_d - 1 <= k <= k_d + precision/2 - 3.
-    """
-    n = m.group.dimension
-    half = precision // 2
-    out = []
-    for i in range(n):
-        values = list({pt[i] for pt in m.orbit.points})
-        k = max((_twice_abs_exponent(x) for x in values if x), default=0)
-        scales = [k]
-        # each value at 2^(-k), embedded at scale 2^(half + 4) within one
-        # unit a part, so a difference is within 3 units of its pairing;
-        # 2t is 2^5 units there
-        scale = Fraction(2) ** -k
-        scaled = [(x * scale).embed(half + 4) for x in values]
-        limit = (2**5 + 3) ** 2
-        small = set()
-        for j, (ra, ia) in enumerate(scaled):
-            for jb in range(j + 1, len(values)):
-                rb, ib = scaled[jb]
-                if (ra - rb) ** 2 + (ia - ib) ** 2 < limit:
-                    small.add(_twice_abs_exponent(values[j] - values[jb]))
-        for kd in sorted(small, reverse=True):
-            if not any(kd - 1 <= s <= kd + half - 3 for s in scales[1:]):
-                scales.append(kd)
-        for k in scales:
-            out.append(tuple(Fraction(2) ** -k if j == i else 0 for j in range(n)))
-    return out
-
-
-def _twice_abs_exponent(x) -> int:
-    """The least k with 2^k >= 2 |x| for a nonzero cyclotomic x.
-
-    |x|^2 is read as re^2 + im^2 from `Cyclotomic.embed`, at a scale where
-    |x| is at least 2^62 units.  The scale starts 64 bits past the
-    denominator's, so a rational multiple of a power of i, such as a
-    coordinate of a weight in Q(i)^n, embeds exactly, and a modulus that is
-    a power of two is found exactly.
-    """
-    q = 64 + x.den.bit_length()
-    while True:
-        re, im = x.embed(q)
-        norm = re * re + im * im
-        if norm >> 124:
-            # 4 |x|^2 <= 4^(k+q) holds first at 2(k + q) = bit_length(4 norm - 1)
-            return ((4 * norm - 1).bit_length() + 1) // 2 - q
-        q += 64
 
 
 def eigenspace_section(group, invariants, harmonics, w: Weight, config: PipelineConfig, rng) -> dict:
     m = InducedModel.build(w)
     generic = m.orbit.distinct_count == group.order
     rank = evaluation_rank(m, harmonics)
-    commutant = commutant_dimension(
-        m, _commutant_translations(m, config.precision), precision=config.precision
-    )
+    commutant = commutant_dimension(m, precision=config.precision)
     eigenvalues = invariant_eigenvalues(invariants, w)
     orbit_wave = intertwiner(m, m.fixed_vector())
-    eigen_ok = eigen_check(orbit_wave, invariants, w, eigenvalues)
+    eigen_ok = eigen_check(orbit_wave, invariants, eigenvalues)
     equivariance_ok = _equivariance_battery(m, rng)
-    dual_ok = dual_cyclic_check(m, dual_sample_elements(m), precision=config.precision)
+    dual_ok = dual_cyclic_check(m, precision=config.precision)
     certified = (
         generic
         and rank == group.order

@@ -189,11 +189,11 @@ def in_order_invariant_subspace(group, degree, dimension=None):
 
 def base_commutant_translations(m):
     """One translation 2^(-k) e_i per axis, 2^k the least power of two at
-    least 2 max_h |mu_h[i]|: the list `report._commutant_translations`
+    least 2 max_h |mu_h[i]|: the list `eigenspace._commutant_translations`
     gave before it added translations for coordinates far apart in scale."""
     from fractions import Fraction
 
-    from refleig.report import _twice_abs_exponent
+    from refleig.eigenspace import _twice_abs_exponent
 
     n = m.group.dimension
     out = []
@@ -204,6 +204,35 @@ def base_commutant_translations(m):
         )
         out.append(tuple(Fraction(2) ** -k if j == i else 0 for j in range(n)))
     return out
+
+
+def reference_rref(rows, ncols):
+    """Reduced row echelon form by Gauss-Jordan elimination over the whole
+    matrix, first nonzero pivot per column: the loop `linalg.rref` ran
+    before it fed its rows to a `RowSpan`.  Returns (rows, pivot_columns)."""
+    work = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(work)):
+            if work[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        scale = 1 / work[r][c]
+        work[r] = [x * scale for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work[:r], pivots
 
 
 def gram_positive_definite(xs, ys, shift: int, frac_bits: int) -> bool:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import base_commutant_translations
-from refleig import __version__, report
+from refleig import __version__, eigenspace, report
 from refleig.cli import main
 from refleig.cyclotomic import I_UNIT, ORDER_CAP
 from refleig.eigenspace import InducedModel, Weight, invariant_eigenvalues
@@ -193,7 +193,7 @@ def test_verify_all_certifies_a_tiny_weight(capsys):
 def test_commutant_translations_are_pinned(spec, weight, scale):
     group = builtin(spec)
     m = InducedModel.build(report.parse_weight(group, weight))
-    assert report._commutant_translations(m) == [(scale, 0), (0, scale)]
+    assert eigenspace._commutant_translations(m) == [(scale, 0), (0, scale)]
 
 
 def test_commutant_twin_at_coordinates_far_apart_in_scale(capsys):
@@ -210,7 +210,7 @@ def test_commutant_twin_at_coordinates_far_apart_in_scale(capsys):
     assert section["status"] == "certified"
     group = builtin("dihedral:4")
     m = InducedModel.build(report.parse_weight(group, "i*10^30, i"))
-    assert report._commutant_translations(m) == [
+    assert eigenspace._commutant_translations(m) == [
         (Fraction(1, 2**101), 0), (Fraction(1, 4), 0),
         (0, Fraction(1, 2**101)), (0, Fraction(1, 4)),
     ]
@@ -221,14 +221,14 @@ def test_commutant_translations_of_the_battery_are_one_per_axis(spec, monkeypatc
     # the weights verify-all draws at seed 1 keep the one translation per
     # axis that they had before far-apart coordinates got more
     seen = []
-    original = report._commutant_translations
+    original = eigenspace._commutant_translations
 
     def recorded(m, precision=128):
         out = original(m, precision)
         seen.append((out, base_commutant_translations(m)))
         return out
 
-    monkeypatch.setattr(report, "_commutant_translations", recorded)
+    monkeypatch.setattr(eigenspace, "_commutant_translations", recorded)
     assert main(["verify-all", "--builtin", spec, "--seed", "1"]) == 0
     capsys.readouterr()
     assert len(seen) >= 5

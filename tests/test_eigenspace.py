@@ -33,7 +33,7 @@ from refleig.cyclotomic import (
     cyc,
     prime_factors,
 )
-from refleig.errors import InternalConsistencyError, SampleSpanError
+from refleig.errors import InternalConsistencyError
 from refleig.eigenspace import (
     DualSample,
     FormalExp,
@@ -63,11 +63,6 @@ I = E(4)
 
 def imag_weight(group, coords):
     return Weight(group, tuple(I * c for c in coords))
-
-
-def standard_translations(group):
-    n = group.dimension
-    return [tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)]
 
 
 def random_element(group, rng, bound=4):
@@ -396,6 +391,25 @@ def test_phase_table_keeps_the_teeth_of_a_wrong_rotation(monkeypatch):
             assert not equivariance_check(m, g, v, dict(table))
 
 
+def test_battery_checks_its_phase_values(monkeypatch):
+    # both sides of the identity read one table, so a table of wrong values
+    # passes the identity; each trial of the battery pairs one entry itself
+    from refleig import report
+
+    group, m, v, elements = _teeth_setup(*_TEETH_WEIGHTS[1])
+    assert report._equivariance_battery(m, random.Random(5))
+    table = InducedModel.phase_table
+
+    def wrong_values(self, shift):
+        return {mu: 2 * s + 1 for mu, s in table(self, shift).items()}
+
+    monkeypatch.setattr(InducedModel, "phase_table", wrong_values)
+    g = elements[0]
+    assert equivariance_check(m, g, v, m.phase_table(g.translation))
+    with pytest.raises(InternalConsistencyError):
+        report._equivariance_battery(m, random.Random(5))
+
+
 def test_eigenspace_action_is_multiplicative():
     rng = random.Random(23)
     group = builtin("dihedral:5")
@@ -449,14 +463,14 @@ def test_eigen_check_accepts_the_orbit(pipeline):
     for w in (imag_weight(group, (1, 2)), imag_weight(group, (1, 0))):
         m = InducedModel.build(w)
         p = intertwiner(m, m.fixed_vector())
-        assert eigen_check(p, invariants, w)
+        assert eigen_check(p, invariants, invariant_eigenvalues(invariants, w))
 
 
 def test_eigen_check_rejects_off_orbit_exponent(pipeline):
     group, invariants, _ = pipeline("dihedral:4")
     w = imag_weight(group, (1, 2))
     stray = PlaneWaveSum(group.dimension, {(I, I): FormalExp.constant(1)})
-    assert not eigen_check(stray, invariants, w)
+    assert not eigen_check(stray, invariants, invariant_eigenvalues(invariants, w))
 
 
 @pytest.mark.parametrize("spec", ["symmetric:4", "dihedral:5"])
@@ -467,7 +481,8 @@ def test_eigen_check_keeps_its_teeth(pipeline, spec):
     w = random_generic_weight(group, random.Random(89))
     m = InducedModel.build(w)
     p = intertwiner(m, m.fixed_vector())
-    assert eigen_check(p, invariants, w)
+    values = invariant_eigenvalues(invariants, w)
+    assert eigen_check(p, invariants, values)
     points = list(p.waves)
     for j in (0, len(points) // 2, len(points) - 1):
         mu = list(points[j])
@@ -475,15 +490,15 @@ def test_eigen_check_keeps_its_teeth(pipeline, spec):
         assert tuple(mu) not in p.waves
         waves = dict(p.waves)
         waves[tuple(mu)] = waves.pop(points[j])
-        assert not eigen_check(PlaneWaveSum(group.dimension, waves), invariants, w)
+        assert not eigen_check(PlaneWaveSum(group.dimension, waves), invariants, values)
     for gen in invariants.generators:
         e, c = next(iter(gen.terms.items()))
         gen.terms[e] = c + 1
         try:
-            assert not eigen_check(p, invariants, w)
+            assert not eigen_check(p, invariants, invariant_eigenvalues(invariants, w))
         finally:
             gen.terms[e] = c
-    assert eigen_check(p, invariants, w)
+    assert eigen_check(p, invariants, values)
 
 
 def test_eigen_check_takes_the_eigenvalues_once(pipeline):
@@ -492,9 +507,9 @@ def test_eigen_check_takes_the_eigenvalues_once(pipeline):
     m = InducedModel.build(w)
     p = intertwiner(m, m.fixed_vector())
     values = invariant_eigenvalues(invariants, w)
-    assert eigen_check(p, invariants, w, values)
+    assert eigen_check(p, invariants, values)
     wrong = [values[0] + 1] + values[1:]
-    assert not eigen_check(p, invariants, w, wrong)
+    assert not eigen_check(p, invariants, wrong)
 
 
 def test_degree_two_eigenvalue_identity(pipeline):
@@ -533,9 +548,9 @@ def test_dual_samples_separate_the_orbit():
 def test_dual_cyclic_tracks_genericity():
     group = builtin("dihedral:4")
     generic = InducedModel.build(imag_weight(group, (1, 2)))
-    assert dual_cyclic_check(generic, dual_sample_elements(generic))
+    assert dual_cyclic_check(generic)
     pinned = InducedModel.build(imag_weight(group, (1, 0)))
-    assert not dual_cyclic_check(pinned, dual_sample_elements(pinned))
+    assert not dual_cyclic_check(pinned)
 
 
 def test_designed_sample_separates_what_a_small_box_cannot():
@@ -548,7 +563,7 @@ def test_designed_sample_separates_what_a_small_box_cannot():
     c = Fraction(3, 2 * 364)
     assert sample.translation == (c, 9 * c, 81 * c)
     assert sample.gap_bits == (2 * 364).bit_length()
-    assert dual_cyclic_check(m, sample)
+    assert dual_cyclic_check(m)
 
 
 def test_designed_sample_of_an_irrational_orbit():
@@ -564,7 +579,7 @@ def test_designed_sample_of_an_irrational_orbit():
     gap = min(abs(u - v) for j, u in enumerate(values) for v in values[:j])
     assert gap > mpmath.mpf(2) ** -sample.gap_bits
     assert sample.gap_bits % 4 == 0
-    assert dual_cyclic_check(m, sample)
+    assert dual_cyclic_check(m)
 
 
 def test_dual_cyclic_rejects_small_or_redundant_samples(monkeypatch):
@@ -577,18 +592,23 @@ def test_dual_cyclic_rejects_small_or_redundant_samples(monkeypatch):
     # separate the orbit at all, contradicts the design: an internal error
     shrink = Fraction(1, 2 ** (sample.gap_bits + 8))
     for x in (tuple(t * shrink for t in sample.translation), (ZERO, ZERO)):
-        with pytest.raises(InternalConsistencyError):
-            dual_cyclic_check(m, DualSample(x, sample.gap_bits))
-    # a redundant orbit fails with no numeric work
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                eigenspace, "dual_sample_elements", lambda _m: DualSample(x, sample.gap_bits)
+            )
+            with pytest.raises(InternalConsistencyError):
+                dual_cyclic_check(m)
+    # a redundant orbit fails with no numeric work, and no sample is designed
     pinned = InducedModel.build(imag_weight(group, (1, 0)))
     assert not is_generic(pinned.weight)
 
-    def no_phases(*_args):
+    def no_numeric_work(*_args):
         raise AssertionError("numeric work on equal columns")
 
-    monkeypatch.setattr(eigenspace, "_phases", no_phases)
-    assert not dual_cyclic_check(pinned, dual_sample_elements(pinned))
-    assert not dual_cyclic_check(InducedModel.build(zero_weight(group)), sample)
+    monkeypatch.setattr(eigenspace, "_phases", no_numeric_work)
+    monkeypatch.setattr(eigenspace, "dual_sample_elements", no_numeric_work)
+    assert not dual_cyclic_check(pinned)
+    assert not dual_cyclic_check(InducedModel.build(zero_weight(group)))
 
 
 def test_corrupted_phase_is_an_internal_error(monkeypatch):
@@ -597,8 +617,7 @@ def test_corrupted_phase_is_an_internal_error(monkeypatch):
 
     group = builtin("dihedral:3")
     m = InducedModel.build(imag_weight(group, (1, 2)))
-    sample = dual_sample_elements(m)
-    assert dual_cyclic_check(m, sample)
+    assert dual_cyclic_check(m)
     phases = eigenspace._phases
     calls = []
 
@@ -613,7 +632,7 @@ def test_corrupted_phase_is_an_internal_error(monkeypatch):
 
     monkeypatch.setattr(eigenspace, "_phases", corrupt_first_row)
     with pytest.raises(InternalConsistencyError):
-        dual_cyclic_check(m, sample)
+        dual_cyclic_check(m)
     assert len(calls) == 2
 
 
@@ -637,7 +656,7 @@ def test_designed_sample_certifies_large_orbits(spec, coords):
     top = max(map(abs, coords)) * sum(base**j for j in range(len(coords)))
     c = Fraction(3, 2 * top)
     assert sample.translation == tuple(base**j * c for j in range(len(coords)))
-    assert dual_cyclic_check(m, sample)
+    assert dual_cyclic_check(m)
 
 
 def test_designed_sample_scales_tiny_and_huge_weights():
@@ -650,7 +669,7 @@ def test_designed_sample_scales_tiny_and_huge_weights():
         sample = dual_sample_elements(m)
         angles = [linalg.dot(mu, sample.translation) / I for mu in m.orbit.points]
         assert 1 <= max(abs(a.to_fraction()) for a in angles) <= Fraction(3, 2)
-        assert dual_cyclic_check(m, sample)
+        assert dual_cyclic_check(m)
 
 
 def reference_phases(exponents, precision):
@@ -785,7 +804,7 @@ def test_dual_criterion_matches_the_svd_reference(spec):
     for w in _battery_weights(group, rng):
         m = InducedModel.build(w)
         sample = dual_sample_elements(m)
-        verdict = dual_cyclic_check(m, sample)
+        verdict = dual_cyclic_check(m)
         r = designed_rows(m, sample)
         assert r >= m.orbit.distinct_count
         assert verdict == closed_form_svd_full_rank(m, sample, r)
@@ -802,7 +821,7 @@ def test_designed_rows_match_the_ldl_and_svd_references(spec):
     for w in _battery_weights(group, rng):
         m = InducedModel.build(w)
         sample = dual_sample_elements(m)
-        verdict = dual_cyclic_check(m, sample)
+        verdict = dual_cyclic_check(m)
         r = designed_rows(m, sample)
         bits, xs, ys = fixed_point_rows(m, sample, r)
         t_sq = 1 << (2 * (bits - 64))
@@ -933,7 +952,7 @@ def test_dual_criterion_with_more_samples_than_the_group_order():
     pinned = InducedModel.build(degenerate_weight(group, rng))
     for m, expected in ((generic, True), (pinned, False)):
         sample = dual_sample_elements(m)
-        assert dual_cyclic_check(m, sample) == expected
+        assert dual_cyclic_check(m) == expected
         r = designed_rows(m, sample)
         for rows in (r + 7, 2 * r):
             assert closed_form_svd_full_rank(m, sample, rows) == expected
@@ -1041,25 +1060,24 @@ def test_commutant_counts_the_stabilizer():
     rng = random.Random(47)
     for spec in ("dihedral:4", "symmetric:3"):
         group = builtin(spec)
-        samples = standard_translations(group)
         for w in (
             random_generic_weight(group, rng),
             degenerate_weight(group, rng),
             zero_weight(group),
         ):
             m = InducedModel.build(w)
-            assert commutant_dimension(m, samples) == stabilizer_order(w)
+            assert commutant_dimension(m) == stabilizer_order(w)
 
 
-def test_commutant_sample_validation():
-    group = builtin("dihedral:3")
-    m = InducedModel.build(imag_weight(group, (1, 2)))
-    with pytest.raises(SampleSpanError):
-        commutant_dimension(m, [])
-    with pytest.raises(SampleSpanError):
-        commutant_dimension(m, [(1, 0), (2, 0)])
-    with pytest.raises(ValueError):
-        commutant_dimension(m, [(I, ZERO), (ZERO, ONE)])
+def test_commutant_of_a_weight_near_a_period_of_the_unit_translation():
+    # 1850401877973371917511 is the numerator of a convergent of 2 pi, so
+    # it pairs with the unit translation to within 2^-72 of a multiple of
+    # 2 pi, below t = 2^-64: a caller-chosen (1, 0), (0, 1) made the
+    # numeric twin count 2 here; the designed translations count 1
+    group = builtin("dihedral:4")
+    m = InducedModel.build(imag_weight(group, (1850401877973371917511, 1)))
+    assert is_generic(m.weight)
+    assert commutant_dimension(m) == 1
 
 
 def numeric_rank(rows, tol):
@@ -1126,10 +1144,9 @@ def test_commutant_agrees_with_dense_solver():
     rng = random.Random(53)
     for spec in ("dihedral:3", "dihedral:4", "symmetric:3"):
         group = builtin(spec)
-        samples = standard_translations(group)
         for w in (random_generic_weight(group, rng), degenerate_weight(group, rng)):
             m = InducedModel.build(w)
-            assert dense_commutant_dim(m) == commutant_dimension(m, samples)
+            assert dense_commutant_dim(m) == commutant_dimension(m)
 
 
 def test_certification_quantities_move_together(pipeline):
@@ -1138,7 +1155,6 @@ def test_certification_quantities_move_together(pipeline):
     rng = random.Random(59)
     for spec in ("dihedral:3", "dihedral:5", "symmetric:3"):
         group, _, harmonics = pipeline(spec)
-        samples = standard_translations(group)
         for w in (
             random_generic_weight(group, rng),
             degenerate_weight(group, rng),
@@ -1149,7 +1165,7 @@ def test_certification_quantities_move_together(pipeline):
                 is_generic(w),
                 orbit(w).distinct_count == group.order,
                 evaluation_rank(m, harmonics) == group.order,
-                commutant_dimension(m, samples) == 1,
+                commutant_dimension(m) == 1,
             )
             assert len(set(flags)) == 1
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_mat_mul, dense_mat_vec
+from conftest import dense_mat_mul, dense_mat_vec, reference_rref
 from refleig import linalg
 from refleig.cyclotomic import E, ZERO, Cyclotomic, cyc
 from refleig.groups import RMatrix, builtin
@@ -99,3 +99,28 @@ def test_dot_refuses_vectors_of_unequal_lengths():
         linalg.dot([cyc(1)], [cyc(3), E(4)])
     with pytest.raises(ValueError):
         linalg.dot([Fraction(1)], [Fraction(3), Fraction(4)])
+
+
+# Q(zeta_5) entries, mostly zeros so that low ranks and zero rows occur
+_ZETA5 = st.sampled_from(
+    [ZERO] * 5 + [cyc(1), cyc(-2), E(5), E(5) ** 2 - 1, cyc(Fraction(1, 3)) * E(5) ** 3]
+)
+
+
+@st.composite
+def _shaped(draw, entries):
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_shaped(_FRACTIONS), _shaped(_ZETA5)))
+def test_rref_matches_the_gauss_jordan_reference(case):
+    # the reduced echelon form is unique, so the rows a RowSpan keeps are
+    # the ones whole-matrix elimination gives, pivots included
+    rows, ncols = case
+    before = [list(r) for r in rows]
+    assert linalg.rref(rows, ncols) == reference_rref(rows, ncols)
+    assert rows == before
