@@ -65,7 +65,6 @@ directly.
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -88,23 +87,20 @@ from .groups import GroupElement, ReflectionGroup
 from .harmonics import HarmonicSpace
 
 
-@dataclass(frozen=True)
 class Weight:
     """Purely imaginary exact vector: the spectral parameter of an eigenspace."""
 
-    group: ReflectionGroup
-    entries: tuple
-
-    def __post_init__(self):
-        entries = tuple(cyc(x) for x in self.entries)
-        if len(entries) != self.group.dimension:
+    def __init__(self, group: ReflectionGroup, entries):
+        entries = tuple(cyc(x) for x in entries)
+        if len(entries) != group.dimension:
             raise ValueError("weight length must match the group dimension")
         for x in entries:
             if x.conj() != -x:
                 raise ValueError(
                     "weight entries must be purely imaginary (conj = negation)"
                 )
-        object.__setattr__(self, "entries", entries)
+        self.group = group
+        self.entries = entries
 
     def is_zero(self):
         return all(not x for x in self.entries)
@@ -115,7 +111,6 @@ class Weight:
         return orbit(self)
 
 
-@dataclass(frozen=True)
 class Orbit:
     """Exponent vectors k . lambda indexed like the group elements.
 
@@ -123,10 +118,13 @@ class Orbit:
     keep every weight drawn and rejected alive until the cyclic collector ran.
     """
 
-    points: tuple  # tuple of n-tuples of Cyclotomic, one per element
-    classes: tuple  # tuple of tuples of element indices with equal points
-    point_class: tuple  # element index -> class id
-    reps: tuple  # the distinct points, one per class, in class order
+    __slots__ = ("points", "classes", "point_class", "reps")
+
+    def __init__(self, points, classes, point_class, reps):
+        self.points = points  # tuple of n-tuples of Cyclotomic, one per element
+        self.classes = classes  # tuple of tuples of element indices with equal points
+        self.point_class = point_class  # element index -> class id
+        self.reps = reps  # the distinct points, one per class, in class order
 
     @property
     def distinct_count(self):
@@ -272,13 +270,13 @@ _FE_ONE = FormalExp.constant(1)
 # -- induced model --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class InducedModel:
     """Functions on the point group: the finite model of the induced rep."""
 
-    group: ReflectionGroup
-    weight: Weight
-    orbit: Orbit
+    def __init__(self, group: ReflectionGroup, weight: Weight, orbit: Orbit):
+        self.group = group
+        self.weight = weight
+        self.orbit = orbit
 
     @staticmethod
     def build(w: Weight) -> "InducedModel":
@@ -525,7 +523,6 @@ def _action_phases(m: InducedModel, g: GroupElement, precision: int):
     return _phases([next(iter(e.terms)) for e in entries], precision)
 
 
-@dataclass(frozen=True)
 class DualSample:
     """The designed sample of the dual-orbit test: the powers (j x, 0),
     j = 0, 1, ..., r - 1, of one translation x, with r read from the phases
@@ -533,11 +530,22 @@ class DualSample:
 
     Each distinct orbit point pairs with x to an angle Im <mu_h, x> in
     [-1.5, 1.5], and the angles of two distinct points differ by more than
-    2^(-gap_bits).
+    2^(-gap_bits).  Two samples are equal when both fields are.
     """
 
-    translation: tuple
-    gap_bits: int
+    __slots__ = ("translation", "gap_bits")
+
+    def __init__(self, translation, gap_bits):
+        self.translation = translation
+        self.gap_bits = gap_bits
+
+    def __eq__(self, other):
+        if type(other) is not DualSample:
+            return NotImplemented
+        return (self.translation, self.gap_bits) == (other.translation, other.gap_bits)
+
+    def __hash__(self):
+        return hash((self.translation, self.gap_bits))
 
 
 def dual_sample_elements(m: InducedModel) -> DualSample:

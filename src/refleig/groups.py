@@ -3,16 +3,23 @@
 Groups are enumerated by breadth-first closure from exact generator matrices;
 the resulting element order is deterministic (identity first, then insertion
 order of the search) and several downstream indices depend on it.  Closure
-is the only place elements are multiplied as matrices; every other product
-is read from the table of element-by-generator products it keeps.
+is the only place elements are multiplied as matrices: every other product,
+the powers k^j that `series.molien` reads traces from included, is read
+from the table of element-by-generator products it keeps.  Outside it, only
+the generators meet a matrix product, in their finite-order and
+orthogonality checks.
 
-Closure forms |K| times (number of generators) products.  `linalg.mat_mul`
-multiplies only nonzero entries, so a signed-permutation product costs about
-n^2 entry tests and n scalar products instead of n^3 products; a dense
-planar rotation still costs all 8.  The pseudo-reflection test is exact
-rank(M - I) = 1, ruled out mod p first for most elements.  The group-level
-test checks that the generators are orthogonal (so every element is) and
-that the reflections generate the group, by a search over element indices.
+Closure forms |K| times (number of generators) products, each against a
+generator on the right.  Each `RMatrix` finds its rows' nonzero entries
+once (`linalg.sparse_rows`) and keeps them for every product with it on the
+right and for every `apply`; `linalg.mat_mul` multiplies only nonzero
+entries, and a signed unit row of the right factor copies its partner.  So
+a signed-permutation product costs n^2 entry tests of the left factor and
+no scalar product, instead of n^3 products; a dense planar rotation still
+costs all 8.  The pseudo-reflection test is exact rank(M - I) = 1, ruled
+out mod p first for most elements.  The group-level test checks that the
+generators are orthogonal (so every element is) and that the reflections
+generate the group, by a search over element indices.
 
 Elements of the motion group R^n x| K are (translation, rotation) pairs with
 the semidirect multiplication (x1, k1)(x2, k2) = (x1 + k1 x2, k1 k2).
@@ -20,7 +27,6 @@ the semidirect multiplication (x1, k1)(x2, k2) = (x1 + k1 x2, k1 k2).
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -88,7 +94,10 @@ class RMatrix:
         if other.dimension != self.dimension:
             raise ValueError("matrices of different dimensions")
         # a product of Cyclotomic rows has Cyclotomic entries already
-        return RMatrix._of(linalg.mat_mul(self.rows, other.rows), self.dimension)
+        return RMatrix._of(
+            linalg.mat_mul(self.rows, other.rows, other.sparse_rows()),
+            self.dimension,
+        )
 
     def __repr__(self):
         return f"RMatrix({self.text()})"
@@ -113,24 +122,24 @@ class RMatrix:
     def is_orthogonal(self):
         return (self.transpose() * self).is_identity()
 
-    def apply(self, vec):
-        """The image of a vector.  Each row's nonzero entries are found on
-        the first call and kept: a row whose one entry is 1 or -1 copies or
-        negates a coordinate, any other row is one fused sum of products."""
+    def sparse_rows(self):
+        """`linalg.sparse_rows` of the rows, found on the first call and
+        kept: every product with this matrix on the right and every
+        `apply` reads them."""
         if self._sparse is None:
-            sparse = []
-            for row in self.rows:
-                terms = tuple((k, x) for k, x in enumerate(row) if x)
-                if len(terms) == 1 and terms[0][1] in (ONE, -ONE):
-                    sparse.append((terms[0][0], terms[0][1] == ONE, None))
-                else:
-                    sparse.append((None, None, terms))
-            self._sparse = tuple(sparse)
+            self._sparse = linalg.sparse_rows(self.rows)
+        return self._sparse
+
+    def apply(self, vec):
+        """The image of a vector, read from `sparse_rows`: a row whose one
+        entry is 1 or -1 copies or negates a coordinate, any other row is
+        one fused sum of products."""
+        sparse = self.sparse_rows()
         vec = [cyc(v) for v in vec]
         if len(vec) != self.dimension:
             raise ValueError("vector length must match the matrix dimension")
         out = []
-        for k, positive, terms in self._sparse:
+        for k, positive, terms in sparse:
             if terms is None:
                 out.append(vec[k] if positive else -vec[k])
             else:
@@ -609,24 +618,35 @@ def load_group_file(path, max_order=DEFAULT_MAX_ORDER) -> ReflectionGroup:
 # -- semidirect product elements ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    """Element (x, k) of R^n x| K; the rotation is an index into the group."""
+    """Element (x, k) of R^n x| K; the rotation is an index into the group.
 
-    group: ReflectionGroup
-    translation: tuple
-    rotation: int
+    Two elements are equal when group, translation and rotation are."""
 
-    def __post_init__(self):
-        trans = tuple(cyc(x) for x in self.translation)
-        if len(trans) != self.group.dimension:
+    __slots__ = ("group", "translation", "rotation")
+
+    def __init__(self, group: ReflectionGroup, translation, rotation: int):
+        trans = tuple(cyc(x) for x in translation)
+        if len(trans) != group.dimension:
             raise ValueError("translation has wrong length")
         for x in trans:
             if not x.is_real():
                 raise ValueError("translation entries must be real")
-        object.__setattr__(self, "translation", trans)
-        if not 0 <= self.rotation < self.group.order:
+        if not 0 <= rotation < group.order:
             raise ValueError("rotation index out of range")
+        self.group = group
+        self.translation = trans
+        self.rotation = rotation
+
+    def __eq__(self, other):
+        if type(other) is not GroupElement:
+            return NotImplemented
+        return (self.group, self.translation, self.rotation) == (
+            other.group, other.translation, other.rotation
+        )
+
+    def __hash__(self):
+        return hash((self.group, self.translation, self.rotation))
 
     @property
     def rotation_matrix(self):

@@ -22,8 +22,6 @@ that every generator, read as a differential operator, kills every basis
 element; either failure raises InternalConsistencyError.
 """
 
-from dataclasses import dataclass
-
 from . import linalg
 from .cyclotomic import ONE, Reduction
 from .errors import GeneratorSearchError, InternalConsistencyError
@@ -45,16 +43,18 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
 class FundamentalInvariants:
     """Algebraically independent invariant generators, ascending degree.
 
     `jacobian` is their Jacobian determinant, nonzero by construction.
     """
 
-    generators: tuple
-    degrees: DegreeVector
-    jacobian: Poly
+    __slots__ = ("generators", "degrees", "jacobian")
+
+    def __init__(self, generators, degrees: DegreeVector, jacobian: Poly):
+        self.generators = generators
+        self.degrees = degrees
+        self.jacobian = jacobian
 
     def __iter__(self):
         return iter(self.generators)
@@ -63,12 +63,14 @@ class FundamentalInvariants:
         return len(self.generators)
 
 
-@dataclass(frozen=True)
 class HarmonicSpace:
     """Graded basis of the harmonic polynomials of a reflection group."""
 
-    basis_by_degree: tuple  # tuple of (degree, tuple-of-Poly) pairs
-    total_dimension: int
+    __slots__ = ("basis_by_degree", "total_dimension")
+
+    def __init__(self, basis_by_degree, total_dimension: int):
+        self.basis_by_degree = basis_by_degree  # tuple of (degree, tuple-of-Poly) pairs
+        self.total_dimension = total_dimension
 
     def flat_basis(self):
         out = []
@@ -203,13 +205,15 @@ def compute_harmonics(group, invariants: FundamentalInvariants) -> HarmonicSpace
     return HarmonicSpace(tuple(spaces), group.order)
 
 
-@dataclass(frozen=True)
 class DecompositionReport:
     """Outcome of the invariant-times-harmonic spanning check."""
 
-    ok: bool
-    failed_degree: int | None = None
-    detail: str = ""
+    __slots__ = ("ok", "failed_degree", "detail")
+
+    def __init__(self, ok: bool, failed_degree: int | None = None, detail: str = ""):
+        self.ok = ok
+        self.failed_degree = failed_degree
+        self.detail = detail
 
     def __bool__(self):
         return self.ok

@@ -18,9 +18,12 @@ exact zero, since `ZERO + x` builds a value that changes nothing.  `dot` is
 one canonicalization for the sum, where a chain of `+` and `*` would
 canonicalize every product and partial sum.
 `mat_mul` is row-sparse: it forms only the products of two nonzero
-entries, so a product of signed-permutation matrices takes n scalar
-products, not n^3.  `RMatrix.apply` in `groups` keeps the same sparsity
-per row for matrix-vector products.
+entries, and a row of the right factor that is a signed unit vector copies
+its partner, so a product of signed-permutation matrices forms no scalar
+product at all.  The right factor's nonzero entries come from
+`sparse_rows`, which `RMatrix` in `groups` keeps once per matrix for both
+its products and `RMatrix.apply`.  `charpoly` passes list rows and lets
+`mat_mul` find them on each call.
 """
 
 from fractions import Fraction
@@ -46,19 +49,41 @@ def dot(u, v):
     return sum_of_products(zip(u, v))
 
 
-def mat_mul(a, b):
+def sparse_rows(rows):
+    """Each row's nonzero entries, the form `mat_mul` and `RMatrix.apply`
+    read: (k, True, None) or (k, False, None) for a row whose one nonzero
+    entry is 1 or -1, at column k, and (None, None, ((j, y), ...)) for any
+    other row."""
+    out = []
+    for row in rows:
+        terms = tuple((j, y) for j, y in enumerate(row) if y)
+        if len(terms) == 1 and (terms[0][1] == 1 or terms[0][1] == -1):
+            out.append((terms[0][0], terms[0][1] == 1, None))
+        else:
+            out.append((None, None, terms))
+    return tuple(out)
+
+
+def mat_mul(a, b, sparse_b=None):
     """The product a b of nonempty matrices.  Row i sums a[i][k] b[k] over
-    the nonzero a[i][k], touching only the nonzero entries of b[k]; an
-    entry with no such term is the field's zero, a[0][0] * 0."""
+    the nonzero a[i][k], touching only the nonzero entries of b[k], read
+    from `sparse_b` (`sparse_rows(b)`, formed here when not given); a row
+    b[k] that is a unit vector times 1 or -1 copies or negates a[i][k] with
+    no product.  An entry with no term is the field's zero, a[0][0] * 0."""
     zero = a[0][0] * 0
     ncols = len(b[0])
-    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    if sparse_b is None:
+        sparse_b = sparse_rows(b)
     out = []
     for arow in a:
         acc = {}
-        for x, brow in zip(arow, sparse_b):
-            if x:
-                for j, y in brow:
+        for x, (k, positive, terms) in zip(arow, sparse_b):
+            if not x:
+                continue
+            if terms is None:
+                add_term(acc, k, x if positive else -x)
+            else:
+                for j, y in terms:
                     add_term(acc, j, x * y)
         out.append([acc.get(j, zero) for j in range(ncols)])
     return out
@@ -67,8 +92,9 @@ def mat_mul(a, b):
 def rref(rows, ncols):
     """Reduced row echelon form; returns (rows, pivot_columns).
 
-    Each row has `ncols` entries.  The rows are fed to a `RowSpan`, whose
-    rows are that form: it is unique, so any elimination order gives it.
+    Each row has `ncols` entries; a row of another length raises
+    ValueError.  The rows are fed to a `RowSpan`, whose rows are that
+    form: it is unique, so any elimination order gives it.
     Input rows are not modified.  Zero rows are dropped from the output.
     """
     span = RowSpan(ncols)
@@ -152,7 +178,8 @@ def charpoly(a, one):
 
 
 class RowSpan:
-    """Incremental echelon form for membership and rank queries."""
+    """Incremental echelon form for membership and rank queries, on rows of
+    `ncols` entries; `add` and `contains` refuse a row of another length."""
 
     def __init__(self, ncols):
         self.ncols = ncols
@@ -161,6 +188,10 @@ class RowSpan:
 
     def _reduce(self, vec):
         vec = list(vec)
+        if len(vec) != self.ncols:
+            raise ValueError(
+                f"row of {len(vec)} entries in a span of {self.ncols} columns"
+            )
         for row, pcol in zip(self.rows, self.pivot_cols):
             if vec[pcol]:
                 f = vec[pcol]

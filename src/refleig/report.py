@@ -19,7 +19,6 @@ import json
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from . import __version__, linalg
 from .eigenspace import (
@@ -92,25 +91,31 @@ BATTERY_GENERIC = 5  # random generic weights, then zero, by default
 EQUIVARIANCE_TRIALS = 20  # random motions per weight
 
 
-@dataclass
 class PipelineConfig:
     """Knobs shared by the CLI subcommands and the full verification run."""
 
-    max_degree: int | None = None
-    precision: int = 128
-    seed: int = 0
-    collect_timings: bool = False
+    __slots__ = ("max_degree", "precision", "seed", "collect_timings")
 
-    def __post_init__(self):
-        if not MIN_PRECISION <= self.precision <= MAX_PRECISION:
+    def __init__(
+        self,
+        max_degree: int | None = None,
+        precision: int = 128,
+        seed: int = 0,
+        collect_timings: bool = False,
+    ):
+        if not MIN_PRECISION <= precision <= MAX_PRECISION:
             raise ValueError(
                 f"precision must be {MIN_PRECISION} to {MAX_PRECISION} bits, "
-                f"got {self.precision}"
+                f"got {precision}"
             )
-        if self.max_degree is not None and not 0 <= self.max_degree <= MAX_DEGREE:
+        if max_degree is not None and not 0 <= max_degree <= MAX_DEGREE:
             raise ValueError(
-                f"max_degree must be 0 to {MAX_DEGREE}, got {self.max_degree}"
+                f"max_degree must be 0 to {MAX_DEGREE}, got {max_degree}"
             )
+        self.max_degree = max_degree
+        self.precision = precision
+        self.seed = seed
+        self.collect_timings = collect_timings
 
 
 class Timings:

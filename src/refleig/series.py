@@ -1,15 +1,25 @@
 """Molien series and exponent-degree extraction.
 
-The Molien series (1/|K|) sum_k det(I - t k)^(-1) is computed exactly: each
-characteristic polynomial is found by Faddeev-LeVerrier over the cyclotomic
-field.  The summand is a class function, so each distinct polynomial is
-inverted once as a truncated power series, weighted by how many elements
-share it, and averaged.  det(I - t k) has constant term 1 and coefficients
-in Z[zeta_M], M the lcm of their conductors, so its reciprocal comes from
-the recurrence b_0 = 1, b_k = -sum a_i b_(k-i) on integer coordinate vectors
-with no inverse; for a rational group M = 1 and the vectors are ints.
-Coefficients of the result must be nonnegative integers (they are
-dimensions); both facts are asserted rather than trusted.
+The Molien series (1/|K|) sum_k det(I - t k)^(-1) is computed exactly, and
+no matrix is multiplied or inverted for it.  det(I - t k) =
+sum_j (-1)^j e_j t^j, where e_j is the j-th elementary symmetric function
+of the eigenvalues of k; the power sums p_j = tr(k^j), j = 1..n, give them
+by Newton's identities, j e_j = sum_{i=1..j} (-1)^(i-1) e_(j-i) p_i.  Each
+element's trace is taken once, and k^j is read from the closure's `right`
+table along the word of k.  The summand is a class function, so the
+elements are counted by their trace tuple (p_1, ..., p_n), which fixes
+det(I - t k); Newton's identities run once per distinct tuple, and each
+distinct polynomial is inverted once as a truncated power series, weighted
+by how many elements share it, and averaged.  The Faddeev-LeVerrier route
+that took one characteristic polynomial per element is the reference in
+`tests/conftest.py`.
+
+det(I - t k) has constant term 1 and coefficients in Z[zeta_M], M the lcm
+of their conductors, so its reciprocal comes from the recurrence b_0 = 1,
+b_k = -sum a_i b_(k-i) on integer coordinate vectors with no inverse; for a
+rational group M = 1 and the vectors are ints.  Coefficients of the result
+must be nonnegative integers (they are dimensions); both facts are
+asserted rather than trusted.
 
 For a pseudo-reflection group the reciprocal series is the finite product
 prod (1 - t^d_i); `extract_degrees` recovers the d_i greedily and raises
@@ -22,11 +32,9 @@ common denominator, so a Molien series (integer coefficients, constant term
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
-from .cyclotomic import ONE, _common_order, _fold, euler_phi
+from .cyclotomic import ONE, ZERO, _common_order, _fold, euler_phi
 from .errors import InternalConsistencyError, NotReflectionSeriesError
 
 _QZERO = Fraction(0)
@@ -44,16 +52,13 @@ def _seq_mul(a, b, trunc):
     return out
 
 
-@dataclass(frozen=True)
 class SeriesQ:
     """Power series with exact rational coefficients, truncated inclusively."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
+    def __init__(self, coeffs):
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
 
     @property
     def truncation(self):
@@ -97,28 +102,27 @@ class SeriesQ:
         return SeriesQ(self.coeffs + (_QZERO,) * (trunc - self.truncation))
 
 
-@dataclass(frozen=True)
 class DegreeVector:
     """Exponent degrees of a reflection group, ascending, product = order."""
 
-    degrees: tuple
-    dimension: int
-    group_order: int
+    __slots__ = ("degrees", "dimension", "group_order")
 
-    def __post_init__(self):
-        degs = tuple(sorted(int(d) for d in self.degrees))
-        object.__setattr__(self, "degrees", degs)
-        if len(degs) != self.dimension:
+    def __init__(self, degrees, dimension: int, group_order: int):
+        degs = tuple(sorted(int(d) for d in degrees))
+        if len(degs) != dimension:
             raise InternalConsistencyError(
-                f"{len(degs)} degrees for dimension {self.dimension}"
+                f"{len(degs)} degrees for dimension {dimension}"
             )
         prod = 1
         for d in degs:
             prod *= d
-        if prod != self.group_order:
+        if prod != group_order:
             raise InternalConsistencyError(
-                f"degree product {prod} != group order {self.group_order}"
+                f"degree product {prod} != group order {group_order}"
             )
+        self.degrees = degs
+        self.dimension = dimension
+        self.group_order = group_order
 
     def product(self):
         return self.group_order
@@ -136,12 +140,45 @@ def default_truncation(group) -> int:
     return max(2 * group.order, group.order + group.dimension + 1, 16)
 
 
-def _det_one_minus_t(k):
-    """Coefficients of det(I - t k) in t, exact, constant term first."""
-    n = k.dimension
-    cp = linalg.charpoly([list(r) for r in k.rows], ONE)
-    # det(sI - k) = sum cp[j] s^j  =>  det(I - t k) = sum cp[n - j] t^j
-    return tuple(cp[n - j] for j in range(n + 1))
+def _power_traces(group):
+    """(tr k, tr k^2, ..., tr k^n) for each element k, in element order.
+
+    Each element's trace is taken once.  k^(j+1) is k^j times the
+    generators of the word of k, read from `group.right`.
+    """
+    n = group.dimension
+    right = group.right
+    traces = []
+    for m in group.elements:
+        tr = ZERO
+        for i, row in enumerate(m.rows):
+            if row[i]:
+                tr = tr + row[i]
+        traces.append(tr)
+    out = []
+    for b in range(group.order):
+        word = group.word(b)
+        a = b
+        key = [traces[b]]
+        for _ in range(n - 1):
+            for j in word:
+                a = right[a][j]
+            key.append(traces[a])
+        out.append(tuple(key))
+    return out
+
+
+def _det_from_power_traces(p):
+    """Coefficients of det(I - t k) in t, constant term first, from
+    p = (tr k, ..., tr k^n) by Newton's identities."""
+    e = [ONE]
+    for j in range(1, len(p) + 1):
+        acc = ZERO
+        for i in range(1, j + 1):
+            term = e[j - i] * p[i - 1]
+            acc = acc + term if i % 2 else acc - term
+        e.append(acc * Fraction(1, j))
+    return tuple(-x if j % 2 else x for j, x in enumerate(e))
 
 
 def _integral_terms(x, order):
@@ -183,16 +220,38 @@ def _reciprocal_coordinates(det_poly, order, truncation):
 
 
 def molien(group, truncation=None) -> SeriesQ:
-    """Exact Molien series of the group, truncated inclusively."""
+    """Exact Molien series of the group, truncated inclusively.
+
+    No matrix is multiplied.  `_det_polys` counts the elements by their
+    trace tuples (tr k, ..., tr k^n), reading k^j from the closure table,
+    and turns each distinct tuple into det(I - t k) by Newton's identities,
+    j e_j = sum_{i=1..j} (-1)^(i-1) e_(j-i) tr k^i; `_series_from_det_polys`
+    averages the reciprocals.  The per-element Faddeev-LeVerrier route is
+    the reference in `tests/conftest.py` (`det_one_minus_t`).
+    """
     if truncation is None:
         truncation = default_truncation(group)
-    multiplicity = Counter(_det_one_minus_t(k) for k in group.elements)
+    return _series_from_det_polys(_det_polys(group), group.order, truncation)
+
+
+def _det_polys(group):
+    """det(I - t k) -> the number of elements k sharing it.  The elements
+    are counted by their trace tuples (`_power_traces`), and Newton's
+    identities run once per distinct tuple."""
+    multiplicity = Counter(_power_traces(group))
+    return {_det_from_power_traces(p): count for p, count in multiplicity.items()}
+
+
+def _series_from_det_polys(det_polys, group_order, truncation) -> SeriesQ:
+    """(1/|K|) sum count / det_poly over a mapping det(I - t k) -> count,
+    truncated inclusively; every coefficient is checked to be a nonnegative
+    integer."""
     order = 1
-    for det_poly in multiplicity:
+    for det_poly in det_polys:
         for c in det_poly:
             order = _common_order(order, c.order)
     total = [0 if order == 1 else [0] * euler_phi(order) for _ in range(truncation + 1)]
-    for det_poly, count in multiplicity.items():
+    for det_poly, count in det_polys.items():
         if det_poly[0] != 1:
             raise InternalConsistencyError("det(I - t k) must have constant term 1")
         recip = _reciprocal_coordinates(det_poly, order, truncation)
@@ -210,10 +269,10 @@ def molien(group, truncation=None) -> SeriesQ:
                     f"Molien coefficient {idx} is not rational"
                 )
             c = c[0]
-        q, r = divmod(c, group.order)
+        q, r = divmod(c, group_order)
         if r or q < 0:
             raise InternalConsistencyError(
-                f"Molien coefficient {idx} = {Fraction(c, group.order)} "
+                f"Molien coefficient {idx} = {Fraction(c, group_order)} "
                 "is not a nonnegative integer"
             )
         out.append(q)

@@ -100,9 +100,10 @@ def _chained_dot(u, v):
     return acc
 
 
-def dense_mat_mul(a, b):
+def dense_mat_mul(a, b, sparse_b=None):
     """The product a b with every entry a chained dot of a row and a column,
-    zeros included: the formulation `linalg.mat_mul` replaced."""
+    zeros included: the formulation `linalg.mat_mul` replaced.  `sparse_b`,
+    the cached nonzero entries `linalg.mat_mul` may be given, is ignored."""
     cols = list(zip(*b))
     return [[_chained_dot(arow, col) for col in cols] for arow in a]
 
@@ -146,15 +147,29 @@ def seq_recip(a, trunc):
     return out
 
 
+def det_one_minus_t(k):
+    """Coefficients of det(I - t k) in t, exact, constant term first, from
+    one Faddeev-LeVerrier characteristic polynomial: what `series.molien`
+    computed for every element before it read power traces."""
+    n = k.dimension
+    cp = linalg.charpoly([list(r) for r in k.rows], ONE)
+    # det(sI - k) = sum cp[j] s^j  =>  det(I - t k) = sum cp[n - j] t^j
+    return tuple(cp[n - j] for j in range(n + 1))
+
+
+def reference_det_polys(group):
+    """det(I - t k) -> the number of elements k sharing it."""
+    from collections import Counter
+
+    return Counter(det_one_minus_t(k) for k in group.elements)
+
+
 def reference_molien(group, truncation):
     """The Molien series as a list of Fractions, each class's reciprocal
     from `seq_recip`."""
-    from collections import Counter
     from fractions import Fraction
 
-    from refleig.series import _det_one_minus_t
-
-    multiplicity = Counter(_det_one_minus_t(k) for k in group.elements)
+    multiplicity = reference_det_polys(group)
     total = [ZERO] * (truncation + 1)
     for det_poly, count in multiplicity.items():
         recip = seq_recip(det_poly, truncation)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import base_commutant_translations
+import refleig
 from refleig import __version__, eigenspace, report
 from refleig.cli import main
 from refleig.cyclotomic import I_UNIT, ORDER_CAP
@@ -691,6 +693,24 @@ for argv in (["info"], ["molien"], ["invariants"], ["harmonics"],
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_generates_no_classes():
+    # the record classes are plain classes: importing the CLI loads neither
+    # dataclasses nor inspect, whose import and generated code every process
+    # would pay for
+    src = os.path.dirname(os.path.dirname(os.path.abspath(refleig.__file__)))
+    code = """
+import sys
+import refleig.cli
+print(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # -- boundary fuzz ------------------------------------------------------------
 #
 # Malformed weight texts, group files, builtin specs and flag values must end
@@ -705,7 +725,8 @@ for argv in (["info"], ["molien"], ["invariants"], ["harmonics"],
 
 FUZZ_SECONDS = 2
 # The slowest in-bound builtin, symmetric:7 (|K| = 5040), loads in about
-# 2.1 s in-process on a 2-vCPU x86_64 machine; the bound leaves twice that.
+# 0.6 s in-process on a 2-vCPU x86_64 machine; the bound was set at twice
+# the 2.1 s it took before closure kept each generator's nonzero entries.
 BUILTIN_SECONDS = 5
 
 _WEIGHT_TOKENS = (

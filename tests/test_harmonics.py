@@ -9,7 +9,6 @@ the construction from the Jacobian.
 """
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -19,6 +18,7 @@ from refleig.cyclotomic import ONE, ZERO, cyc
 from refleig.errors import InternalConsistencyError
 from refleig.groups import builtin, is_pseudo_reflection
 from refleig.harmonics import (
+    FundamentalInvariants,
     HarmonicSpace,
     _generator_products,
     compute_harmonics,
@@ -368,7 +368,9 @@ def test_jacobian_layers_span_the_kernel_reference(pipeline, spec):
 )
 def test_corrupted_jacobian_raises(pipeline, corrupt, message):
     group, invariants, _ = pipeline("dihedral:3")
-    damaged = replace(invariants, jacobian=corrupt(invariants.jacobian))
+    damaged = FundamentalInvariants(
+        invariants.generators, invariants.degrees, corrupt(invariants.jacobian)
+    )
     with pytest.raises(InternalConsistencyError, match=message):
         compute_harmonics(group, damaged)
 

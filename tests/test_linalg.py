@@ -50,6 +50,32 @@ def test_sparse_products_match_the_dense_reference_over_cyclotomics(ab):
     _check(*ab, Cyclotomic)
 
 
+# zeros weighted so that rows with one entry 1 or -1 occur often
+_UNIT_HEAVY = st.sampled_from(
+    [ZERO] * 4 + [cyc(1), cyc(-1), cyc(1), cyc(-1), cyc(Fraction(1, 2)), E(4), E(5)]
+)
+
+
+def _square(n):
+    return st.lists(st.lists(_UNIT_HEAVY, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(_square(n), st.lists(_square(n), min_size=1, max_size=12))
+))
+def test_products_against_one_cached_right_factor_match_the_dense_reference(case):
+    b, lefts = case
+    right = RMatrix(b)
+    cached = right.sparse_rows()
+    for a in lefts:
+        product = RMatrix(a) * right
+        assert [list(row) for row in product.rows] == dense_mat_mul(a, b)
+        assert all(type(x) is Cyclotomic for row in product.rows for x in row)
+        # every product reads the rows found once
+        assert right.sparse_rows() is cached
+
+
 def test_zero_matrix_product_is_the_zero_matrix():
     zero = [[ZERO, ZERO], [ZERO, ZERO]]
     ones = [[cyc(1), cyc(2)], [cyc(3), cyc(4)]]
@@ -124,3 +150,17 @@ def test_rref_matches_the_gauss_jordan_reference(case):
     before = [list(r) for r in rows]
     assert linalg.rref(rows, ncols) == reference_rref(rows, ncols)
     assert rows == before
+
+
+def test_rowspan_refuses_a_row_of_another_width():
+    # the row (0, 1) at ncols = 1 once entered with its pivot in column 1
+    span = linalg.RowSpan(1)
+    for row in ([Fraction(0), Fraction(1)], []):
+        with pytest.raises(ValueError, match="span of 1 columns"):
+            span.add(row)
+        with pytest.raises(ValueError, match="span of 1 columns"):
+            span.contains(row)
+    assert span.rank == 0
+    with pytest.raises(ValueError):
+        linalg.rref([[Fraction(0), Fraction(1)]], 1)
+    assert span.add([Fraction(3)]) and span.rows == [[Fraction(1)]]

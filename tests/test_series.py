@@ -7,8 +7,8 @@ programming and frozen into the expected lists.
 
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -20,10 +20,10 @@ from refleig.errors import (
     NotReflectionSeriesError,
     OrderLimitError,
 )
-from refleig.cyclotomic import E
-from refleig.groups import RMatrix, builtin, parse_group_json
+from refleig.cyclotomic import E, ONE, cyc
+from refleig.groups import builtin, parse_group_json
 from refleig.cli import main
-from conftest import reference_molien
+from conftest import reference_det_polys, reference_molien
 from refleig.series import (
     DegreeVector,
     SeriesQ,
@@ -193,14 +193,18 @@ def test_molien_matches_the_generic_reciprocal_reference(spec):
         )
 
 
-def test_molien_over_mixed_roots_of_unity_matches_the_reference():
+def _mixed_roots_group():
     # diag(E(5), 1) and diag(1, E(3)) generate a group of order 15 whose
     # det(I - t k) coefficients lie in Q(zeta_5), Q(zeta_3) and Q(zeta_15)
-    group = parse_group_json(
+    return parse_group_json(
         {"dimension": 2, "generators": [
             [["E(5)", "0"], ["0", "1"]], [["1", "0"], ["0", "E(3)"]],
         ]}
     )
+
+
+def test_molien_over_mixed_roots_of_unity_matches_the_reference():
+    group = _mixed_roots_group()
     assert group.order == 15
     for truncation in (0, 1, default_truncation(group)):
         expected = reference_molien(group, truncation)
@@ -209,28 +213,54 @@ def test_molien_over_mixed_roots_of_unity_matches_the_reference():
     assert expected[:9] == [1, 0, 0, 1, 0, 1, 1, 0, 1]
 
 
-def _fake_group(entries, order):
-    """1 x 1 matrices that need not form a group, with a declared order."""
-    elements = [RMatrix([[x]]) for x in entries]
-    return SimpleNamespace(elements=elements, order=order, dimension=1)
+@pytest.mark.parametrize(
+    "spec", MOLIEN_REFERENCE_SPECS + ("symmetric:6", "mixed roots")
+)
+def test_det_polys_from_power_traces_match_the_charpoly_reference(spec):
+    # Newton's identities on (tr k, ..., tr k^n), counted by trace tuple,
+    # give the multiset one Faddeev-LeVerrier charpoly per element gives
+    group = _mixed_roots_group() if spec == "mixed roots" else builtin(spec)
+    det_polys = series_module._det_polys(group)
+    assert det_polys == reference_det_polys(group)
+    assert sum(det_polys.values()) == group.order
+
+
+def test_molien_multiplies_no_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("molien multiplied matrices")
+
+    for spec in ("hyperoctahedral:3", "dihedral:5", "cyclic:4"):
+        group = builtin(spec)
+        expected = reference_molien(group, default_truncation(group))
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "mat_mul", refuse)
+            patch.setattr(linalg, "charpoly", refuse)
+            assert list(molien(group).coeffs) == expected
+
+
+def _fake_series(entries, order, truncation):
+    """The series-from-multiset step on 1 x 1 "elements" x that need not
+    form a group, with a declared order: det(I - t x) = 1 - x t."""
+    det_polys = Counter((ONE, -cyc(x)) for x in entries)
+    return series_module._series_from_det_polys(det_polys, order, truncation)
 
 
 def test_molien_checks_every_coefficient():
     # 1/(1 - t) + 1/(1 - E(3) t) has 1 + E(3) at degree 1
     with pytest.raises(InternalConsistencyError, match="coefficient 1 is not rational"):
-        molien(_fake_group([1, E(3)], 2), 4)
+        _fake_series([1, E(3)], 2, 4)
     with pytest.raises(
         InternalConsistencyError,
         match=r"coefficient 0 = 1/2 is not a nonnegative integer",
     ):
-        molien(_fake_group([1], 2), 4)
+        _fake_series([1], 2, 4)
     # 2/(1 - t) + 2/(1 + t) over 4 is 1 at even degrees, 0 at odd ones
-    assert list(molien(_fake_group([1, 1, -1, -1], 4), 3).coeffs) == [1, 0, 1, 0]
+    assert list(_fake_series([1, 1, -1, -1], 4, 3).coeffs) == [1, 0, 1, 0]
     with pytest.raises(InternalConsistencyError, match="not an algebraic integer"):
-        molien(_fake_group([1, Fraction(1, 2)], 2), 4)
+        _fake_series([1, Fraction(1, 2)], 2, 4)
     # conductors 64 and 63 promote to 4032, past the cap
     with pytest.raises(OrderLimitError):
-        molien(_fake_group([1, E(64), E(63)], 3), 4)
+        _fake_series([1, E(64), E(63)], 3, 4)
 
 
 def test_series_reciprocal():
@@ -285,7 +315,8 @@ def test_integer_reciprocal_covers_rational_constant_terms():
 
 
 def test_charpoly_against_sympy():
-    # Faddeev-LeVerrier, which feeds every Molien summand, against sympy
+    # Faddeev-LeVerrier, which checks each generator's order in closure and
+    # gives the Molien reference in conftest, against sympy
     rng = random.Random(3)
     s = sympy.Symbol("s")
     for n in range(1, 6):
