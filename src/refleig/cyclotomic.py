@@ -602,23 +602,6 @@ def sum_of_products(pairs) -> Cyclotomic:
     return _finish(m, _fold(m, full), den)
 
 
-def common_lift(values):
-    """`values` over one order m and one denominator den: returns
-    (m, den, vectors), each value as the integer vector v on the basis
-    1, z, ..., z^(phi(m)-1) of Q(zeta_m) with value v / den.  An integer
-    combination of the vectors is read back, canonical, by
-    `_finish(m, v, den)`."""
-    values = list(values)
-    m = den = 1
-    for x in values:
-        m = _common_order(m, x.order)
-        den = math.lcm(den, x.den)
-    return m, den, [
-        _reduce(m, {i * (m // x.order): c * (den // x.den) for i, c in x.nums.items()})
-        for x in values
-    ]
-
-
 def _poly_modinv(a, mod):
     """Inverse of polynomial a modulo `mod` over Q (dense, low-first)."""
     zero = Fraction(0)

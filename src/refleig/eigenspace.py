@@ -12,16 +12,22 @@ are term-by-term equalities in that ring.  Distinct exponentials of algebraic
 numbers are linearly independent, so a formal identity is exactly as strong
 as the functional one.
 
-`equivariance_check` checks F(pi(g) v) = T(g) F(v) with one exact pairing
-per orbit point: `model_act` and `eigenspace_action` read each phase
-exponent -<mu, x> from one table keyed by the exponent vector mu, computed
-on a miss by one fused sum (`linalg.dot`), and multiply by e^s as a shift of
-exponents (`FormalExp.shift`).  The phase is a function of its key alone, so
-sharing it cannot hide a misread index or a wrong k mu: either still gives
-different exponents or coefficients on the two sides.  For an integer
-translation, `InducedModel.phase_table` fills the table for every distinct
-orbit point in one pass, from the orbit lifted once to one order and one
-denominator; a k mu off the orbit still misses it.
+`equivariance_check` checks F(pi(g) v) = T(g) F(v) on orbit classes.  Each
+model finds, once, the class of g_j rep_c for every generator g_j and every
+distinct orbit point rep_c, by `RMatrix.apply` and the orbit's point -> class
+map.  The class image of any rotation k is composed from those permutations
+along k's closure word: reached[b] = (i, j) gives elements[b] = elements[i]
+g_j, so b mu = elements[i] (g_j mu).  The walk is a loop that stops at the
+first image already memoized on the model, so no word length meets the
+recursion limit.  Both sides carry one distinct formal exponent per class in
+place of the phase -<rep_c, x>: the left side is `model_act` with those
+exponents, summed over each class; the right side is F(v) summed over each
+class c and moved to the class of k rep_c with that class's exponent.  The
+phase of a class multiplies both sides of that class alike, and distinct
+exponents are independent in the formal ring, so the identity holds exactly
+when the identity with the true phases holds for every translation at once.
+A phase read from the wrong class, a wrong class image or a wrong
+multiplication row still puts some coefficient under the wrong exponent.
 
 `eigen_check` evaluates every invariant at every orbit point from one table
 of powers per distinct coordinate value, keyed by the value.
@@ -75,9 +81,7 @@ from .cyclotomic import (
     ONE,
     Reduction,
     ZERO,
-    _finish,
     cis_fixed,
-    common_lift,
     cyc,
     euler_phi,
     sum_of_products,
@@ -118,13 +122,14 @@ class Orbit:
     keep every weight drawn and rejected alive until the cyclic collector ran.
     """
 
-    __slots__ = ("points", "classes", "point_class", "reps")
+    __slots__ = ("points", "classes", "point_class", "class_of", "reps")
 
     def __init__(self, points, classes, point_class, reps):
         self.points = points  # tuple of n-tuples of Cyclotomic, one per element
         self.classes = classes  # tuple of tuples of element indices with equal points
         self.point_class = point_class  # element index -> class id
         self.reps = reps  # the distinct points, one per class, in class order
+        self.class_of = {mu: c for c, mu in enumerate(reps)}  # point -> class id
 
     @property
     def distinct_count(self):
@@ -296,61 +301,65 @@ class InducedModel:
         return [_FE_ONE] * self.dimension
 
     @cached_property
-    def _lifted_points(self):
-        """The distinct orbit points over one order and denominator
-        (`cyclotomic.common_lift`), each with the integer vector of each
-        coordinate."""
-        reps = self.orbit.reps
-        coords = list({x for mu in reps for x in mu})
-        order, den, vecs = common_lift(coords)
-        lifted = dict(zip(coords, vecs))
-        return order, den, [(mu, [lifted[x] for x in mu]) for mu in reps]
+    def formal_phases(self):
+        """One distinct formal exponent per orbit class: the class id."""
+        return tuple(cyc(c) for c in range(self.orbit.distinct_count))
 
-    def phase_table(self, shift) -> dict:
-        """The exponent -<mu, x> of every distinct orbit point mu, keyed by
-        mu as `model_act` reads it, for a translation x of ints: one integer
-        combination of the lifted coordinates and one canonicalization a
-        point."""
-        order, den, lifted = self._lifted_points
-        out = {}
-        for mu, vecs in lifted:
-            acc = [0] * len(vecs[0])
-            for t, v in zip(shift, vecs):
-                if t:
-                    acc = [a - t * b for a, b in zip(acc, v)]
-            out[mu] = _finish(order, acc, den)
+    @cached_property
+    def generator_classes(self):
+        """For each generator g_j, the class of g_j rep_c for each class c,
+        by `RMatrix.apply` and the orbit's point -> class map."""
+        class_of = self.orbit.class_of
+        out = []
+        for b in self.group.generator_indices:
+            k = self.group.elements[b]
+            images = [class_of.get(k.apply(mu)) for mu in self.orbit.reps]
+            if None in images:
+                raise InternalConsistencyError("a generator moves an orbit point off the orbit")
+            out.append(images)
         return out
 
+    @cached_property
+    def _class_images(self):
+        images = [None] * self.group.order
+        images[0] = tuple(range(self.orbit.distinct_count))
+        return images
 
-def _phase(phases, mu, x):
-    """The exponent -<mu, x> of a phase, read from `phases` (exponent vector
-    -> exponent) and kept there when computed on the spot."""
-    s = phases.get(mu)
-    if s is None:
-        s = phases[mu] = -linalg.dot(mu, x)
-    return s
+    def class_image(self, b: int):
+        """The class of elements[b] rep_c for each class c, composed from
+        `generator_classes` along b's closure word by a loop, memoized."""
+        images = self._class_images
+        reached = self.group.reached
+        path = []
+        while images[b] is None:
+            i, j = reached[b]
+            path.append((b, j))
+            b = i
+        image = images[b]
+        for b, j in reversed(path):
+            image = images[b] = tuple(map(image.__getitem__, self.generator_classes[j]))
+        return image
 
 
 def model_act(m: InducedModel, g: GroupElement, v, phases=None):
     """Action (pi(x, k) v)(h) = exp(-<mu_h, x>) v(k^-1 h).
 
-    `phases` is a table of the exponents -<mu, x> for this g, shared with
-    `eigenspace_action` by `equivariance_check`; by default a fresh one.
+    `phases` holds one exponent per orbit class, and entry h is shifted by
+    the exponent of mu_h's class; by default the exact pairing -<mu, x> of
+    each distinct orbit point, one fused sum (`linalg.dot`) each.
     """
     if g.group is not m.group:
         raise ValueError("element belongs to a different group")
+    if len(v) != m.dimension:
+        raise ValueError(f"vector length must be the group order {m.dimension}")
     if phases is None:
-        phases = {}
+        x = g.translation
+        phases = [-linalg.dot(mu, x) for mu in m.orbit.reps]
     row = m.group.mult_table[m.group.inverse_table[g.rotation]]
-    points = m.orbit.points
-    x = g.translation
-    out = []
-    for h in range(m.dimension):
-        entry = v[row[h]]
-        if entry:
-            entry = entry.shift(_phase(phases, points[h], x))
-        out.append(entry)
-    return out
+    return [
+        v[r].shift(phases[c]) if v[r] else v[r]
+        for r, c in zip(row, m.orbit.point_class)
+    ]
 
 
 # -- plane-wave sums -------------------------------------------------------------
@@ -409,43 +418,47 @@ def intertwiner(m: InducedModel, v) -> PlaneWaveSum:
     return PlaneWaveSum(m.group.dimension, waves, _clean=True)
 
 
-def eigenspace_action(group: ReflectionGroup, g: GroupElement, p: PlaneWaveSum, phases=None) -> PlaneWaveSum:
+def eigenspace_action(group: ReflectionGroup, g: GroupElement, p: PlaneWaveSum) -> PlaneWaveSum:
     """Action of the motion group on plane waves:
-    e^<mu, .> -> exp(-<k mu, y>) e^<k mu, .> for g = (y, k).
-
-    Each k mu is computed by `RMatrix.apply`, once per rotation and
-    exponent for the life of the group (`ReflectionGroup.rotated_points`).
-    The phases are read from `phases` as in `model_act`.
+    e^<mu, .> -> exp(-<k mu, y>) e^<k mu, .> for g = (y, k), each k mu by
+    `RMatrix.apply` and each phase by one fused sum (`linalg.dot`).
     """
     if g.group is not group:
         raise ValueError("element belongs to a different group")
-    if phases is None:
-        phases = {}
     k = group.elements[g.rotation]
-    memo = group.rotated_points[g.rotation]
     y = g.translation
     out = {}
     for mu, c in p.waves.items():
-        new_mu = memo.get(mu)
-        if new_mu is None:
-            new_mu = memo[mu] = k.apply(mu)
-        linalg.add_term(out, new_mu, c.shift(_phase(phases, new_mu, y)))
+        new_mu = k.apply(mu)
+        linalg.add_term(out, new_mu, c.shift(-linalg.dot(new_mu, y)))
     return PlaneWaveSum(p.dimension, out, _clean=True)
 
 
-def equivariance_check(m: InducedModel, g: GroupElement, v, phases=None) -> bool:
-    """Exact formal identity F(pi(g) v) = T(g) F(v).
+def _class_sums(m: InducedModel, v) -> dict:
+    """The sum of the entries of v over each orbit class, keyed by class."""
+    out = {}
+    for c, entry in zip(m.orbit.point_class, v):
+        if entry:
+            linalg.add_term(out, c, entry)
+    return out
 
-    Both sides read their phases from one table, so each distinct orbit
-    point is paired with the translation once (see the module docstring
-    for why sharing it hides no defect).  `phases` may hold the exponents
-    `InducedModel.phase_table` gives for g's translation; by default the
-    table starts empty.
+
+def equivariance_check(m: InducedModel, g: GroupElement, v) -> bool:
+    """Exact formal identity F(pi(g) v) = T(g) F(v), class by class, with
+    the formal phases `InducedModel.formal_phases` in place of -<mu, x>.
+
+    The left side is `model_act` summed over each class; the right side is
+    F(v) summed over each class c, moved to the class of k rep_c
+    (`InducedModel.class_image`) with the exponent of that class.  The
+    verdict holds for every translation (see the module docstring).
     """
-    if phases is None:
-        phases = {}
-    lhs = intertwiner(m, model_act(m, g, v, phases))
-    rhs = eigenspace_action(m.group, g, intertwiner(m, v), phases)
+    phases = m.formal_phases
+    lhs = _class_sums(m, model_act(m, g, v, phases))
+    image = m.class_image(g.rotation)
+    rhs = {}
+    for c, total in _class_sums(m, v).items():
+        t = image[c]
+        linalg.add_term(rhs, t, total.shift(phases[t]))
     return lhs == rhs
 
 

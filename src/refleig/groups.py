@@ -190,7 +190,6 @@ class ReflectionGroup:
         self._reflection_flags = None
         self._action_powers = None
         self._diagonal_characters = None
-        self._rotated_points = None
 
     @property
     def order(self):
@@ -269,14 +268,6 @@ class ReflectionGroup:
                 out.append((order, tuple(j * (order // o) for o, j in roots)))
             self._diagonal_characters = tuple(out)
         return self._diagonal_characters
-
-    @property
-    def rotated_points(self):
-        """One memo per element for `eigenspace.eigenspace_action`: exponent
-        vector mu -> elements[i] . mu, filled lazily."""
-        if self._rotated_points is None:
-            self._rotated_points = [{} for _ in self.elements]
-        return self._rotated_points
 
     @property
     def reflection_flags(self):

@@ -12,7 +12,7 @@ import pytest
 
 from refleig import linalg
 from refleig.cyclotomic import E, ONE, ZERO, cyc
-from refleig.eigenspace import Weight, is_generic
+from refleig.eigenspace import Weight, eigenspace_action, intertwiner, is_generic
 from refleig.errors import InternalConsistencyError
 from refleig.groups import builtin
 from refleig.harmonics import compute_harmonics, find_fundamental_invariants
@@ -310,6 +310,24 @@ def evaluation_matrix(m, harmonics):
     exact matrix whose rank `eigenspace.evaluation_rank` certifies mod p."""
     cols = m.orbit.points
     return [[h.evaluate(mu) for mu in cols] for h in harmonics.flat_basis()]
+
+
+def reference_equivariance(m, g, v):
+    """F(pi(g) v) = T(g) F(v) as one identity of plane-wave sums, with every
+    phase exp(-<mu, x>) the exact pairing of its point with g's translation:
+    the check `eigenspace.equivariance_check` ran before it compared orbit
+    classes under formal phases.  pi is applied here entry by entry, and T
+    by `eigenspace_action`, which applies k to every exponent."""
+    group = m.group
+    x = g.translation
+    row = group.mult_table[group.inverse_table[g.rotation]]
+    acted = []
+    for h, r in enumerate(row):
+        entry = v[r]
+        if entry:
+            entry = entry.shift(-linalg.dot(m.orbit.points[h], x))
+        acted.append(entry)
+    return intertwiner(m, acted) == eigenspace_action(group, g, intertwiner(m, v))
 
 
 # -- weights ---------------------------------------------------------------------

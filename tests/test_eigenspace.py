@@ -8,7 +8,9 @@ space and counts the numeric nullspace dimension, with no shared helpers.
 import cmath
 import operator
 import random
+import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import pytest
@@ -22,6 +24,7 @@ from conftest import (
     gram_positive_definite,
     mp_embed,
     mp_embed_formal,
+    reference_equivariance,
 )
 from refleig import linalg
 from refleig.cyclotomic import (
@@ -293,8 +296,9 @@ def test_equivariance_everywhere():
 
 
 # Each defect below must make the identity fail for every rotation but the
-# identity.  The coefficients are distinct nonzero constants, so no two
-# misplaced terms can cancel or coincide.
+# identity whose closure word uses what was mutated.  The coefficients are
+# distinct nonzero constants, so no two misplaced terms can cancel or
+# coincide.
 _TEETH_WEIGHTS = (("dihedral:5", (1, 3)), ("symmetric:4", (1, 2, 4, 7)))
 
 
@@ -314,37 +318,33 @@ def test_equivariance_fails_when_model_act_misreads_the_phase(monkeypatch, spec,
     group, m, v, elements = _teeth_setup(spec, coords)
     assert all(equivariance_check(m, g, v) for g in elements)
 
-    def misread(m, g, v, *_rest):
-        # the phase of points[k^-1 h] instead of points[h]
+    def misread(m, g, v, phases):
+        # the phase of the class of k^-1 h instead of the class of h
         row = m.group.mult_table[m.group.inverse_table[g.rotation]]
-        out = []
-        for h in range(m.dimension):
-            entry = v[row[h]]
-            if entry:
-                s = -linalg.dot(m.orbit.points[row[h]], list(g.translation))
-                entry = FormalExp.exp(s) * entry
-            out.append(entry)
-        return out
+        return [v[r].shift(phases[m.orbit.point_class[r]]) for r in row]
 
     monkeypatch.setattr(eigenspace, "model_act", misread)
     assert not any(equivariance_check(m, g, v) for g in elements)
 
 
 @pytest.mark.parametrize("spec, coords", _TEETH_WEIGHTS)
-def test_equivariance_fails_on_a_wrong_rotated_point(monkeypatch, spec, coords):
+def test_equivariance_fails_on_a_wrong_rotated_point(spec, coords):
+    # g_j rep recorded in the wrong class: two entries of generator j's
+    # class permutation swapped, on a fresh model so no image is memoized
     group, m, v, elements = _teeth_setup(spec, coords)
-    for g in elements:
-        assert equivariance_check(m, g, v)
-        memo = group.rotated_points[g.rotation]
-        mu = m.orbit.points[1]
-        wrong = next(p for p in m.orbit.points if p != memo[mu])
-        with monkeypatch.context() as patch:
-            patch.setitem(memo, mu, wrong)
-            assert not equivariance_check(m, g, v)
+    for j in range(len(group.generator_indices)):
+        mutated = InducedModel.build(m.weight)
+        perm = mutated.generator_classes[j]
+        perm[0], perm[1] = perm[1], perm[0]
+        for g in elements:
+            uses = j in group.word(g.rotation)
+            assert equivariance_check(mutated, g, v) is not uses
+    assert all(equivariance_check(m, g, v) for g in elements)
 
 
 @pytest.mark.parametrize("spec, coords", _TEETH_WEIGHTS)
 def test_equivariance_fails_on_a_swapped_multiplication_row(spec, coords):
+    # model_act reads v through the row of k^-1; the class images never do
     group, m, v, elements = _teeth_setup(spec, coords)
     for g in elements:
         row = group.mult_table[group.inverse_table[g.rotation]]
@@ -356,58 +356,110 @@ def test_equivariance_fails_on_a_swapped_multiplication_row(spec, coords):
         assert equivariance_check(m, g, v)
 
 
-@pytest.mark.parametrize("spec, coords", _TEETH_WEIGHTS + (("dihedral:4", (1, 0)),))
-def test_phase_table_is_the_exact_pairing(spec, coords):
-    # one pass over the lifted orbit gives -<mu, x> for every orbit point,
-    # as the fused sum does, and the battery's tables change no verdict
+def test_a_generator_image_off_the_orbit_is_an_internal_error(monkeypatch):
+    group, m, v, elements = _teeth_setup(*_TEETH_WEIGHTS[0])
+    class_of = dict(m.orbit.class_of)
+    del class_of[m.orbit.reps[1]]
+    monkeypatch.setattr(m.orbit, "class_of", class_of)
+    with pytest.raises(InternalConsistencyError, match="off the orbit"):
+        equivariance_check(m, elements[0], v)
+
+
+@pytest.mark.parametrize("spec", ["dihedral:5", "symmetric:4", "hyperoctahedral:3"])
+def test_class_images_are_the_matrix_action(spec):
     group = builtin(spec)
-    m = InducedModel.build(imag_weight(group, coords))
-    rng = random.Random(97)
-    for _ in range(5):
-        shift = tuple(rng.randint(-5, 5) for _ in range(group.dimension))
-        table = m.phase_table(shift)
-        assert set(table) == set(m.orbit.points)
-        x = [cyc(t) for t in shift]
-        for mu, s in table.items():
-            assert s == -linalg.dot(mu, x)
-            assert hash(s) == hash(-linalg.dot(mu, x))
-        g = GroupElement(group, shift, rng.randrange(group.order))
-        v = [FormalExp.constant(rng.randint(-4, 4)) for _ in range(m.dimension)]
-        assert equivariance_check(m, g, v, table)
-    assert m.phase_table((0,) * group.dimension) == {mu: ZERO for mu in m.orbit.points}
+    rng = random.Random(41)
+    for w in (random_generic_weight(group, rng), degenerate_weight(group, rng), zero_weight(group)):
+        m = InducedModel.build(w)
+        for b in reversed(range(group.order)):
+            k = group.elements[b]
+            assert m.class_image(b) == tuple(m.orbit.class_of[k.apply(mu)] for mu in m.orbit.reps)
 
 
-def test_phase_table_keeps_the_teeth_of_a_wrong_rotation(monkeypatch):
-    # a k mu outside the orbit misses the table and is paired on the spot
-    group, m, v, elements = _teeth_setup(*_TEETH_WEIGHTS[1])
-    # the translation `_teeth_setup` gives every element
-    table = m.phase_table(range(1, group.dimension + 1))
-    mu = m.orbit.points[1]
-    for g in elements[:5]:
-        memo = group.rotated_points[g.rotation]
-        assert equivariance_check(m, g, v, dict(table))
-        with monkeypatch.context() as patch:
-            patch.setitem(memo, mu, tuple(x + 1 for x in memo[mu]))
-            assert not equivariance_check(m, g, v, dict(table))
+def _frame_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
-def test_battery_checks_its_phase_values(monkeypatch):
-    # both sides of the identity read one table, so a table of wrong values
-    # passes the identity; each trial of the battery pairs one entry itself
-    from refleig import report
+def test_class_images_walk_words_past_the_recursion_limit():
+    # the longest closure word of cyclic:60 has 59 generators; a recursive
+    # walk would need a frame for each
+    group = builtin("cyclic:60")
+    m = InducedModel.build(imag_weight(group, (1, 2)))
+    b = max(range(group.order), key=lambda e: len(group.word(e)))
+    assert len(group.word(b)) == 59
+    m.generator_classes  # the applies run before the limit is lowered
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 20)
+    try:
+        image = m.class_image(b)
+    finally:
+        sys.setrecursionlimit(limit)
+    k = group.elements[b]
+    assert image == tuple(m.orbit.class_of[k.apply(mu)] for mu in m.orbit.reps)
 
-    group, m, v, elements = _teeth_setup(*_TEETH_WEIGHTS[1])
-    assert report._equivariance_battery(m, random.Random(5))
-    table = InducedModel.phase_table
 
-    def wrong_values(self, shift):
-        return {mu: 2 * s + 1 for mu, s in table(self, shift).items()}
+@pytest.mark.parametrize("length", [3, 9])
+def test_vectors_of_the_wrong_length_are_refused(length):
+    group = builtin("dihedral:3")
+    m = InducedModel.build(imag_weight(group, (1, 2)))
+    g = GroupElement(group, (1, 2), 1)
+    v = [FormalExp.constant(j + 1) for j in range(length)]
+    with pytest.raises(ValueError, match="length"):
+        model_act(m, g, v)
+    with pytest.raises(ValueError, match="length"):
+        equivariance_check(m, g, v)
 
-    monkeypatch.setattr(InducedModel, "phase_table", wrong_values)
-    g = elements[0]
-    assert equivariance_check(m, g, v, m.phase_table(g.translation))
-    with pytest.raises(InternalConsistencyError):
-        report._equivariance_battery(m, random.Random(5))
+
+_AGREEMENT_GROUPS = (
+    "dihedral:3",
+    "dihedral:4",
+    "dihedral:5",
+    "symmetric:3",
+    "symmetric:4",
+    "hyperoctahedral:2",
+    "hyperoctahedral:3",
+)
+
+
+@lru_cache(maxsize=None)
+def _agreement_group(spec):
+    return builtin(spec)
+
+
+@st.composite
+def equivariance_cases(draw):
+    """A model of a generic, degenerate or zero weight, a motion with an
+    integer or rational translation, and v with formal-sum entries."""
+    spec = draw(st.sampled_from(_AGREEMENT_GROUPS))
+    group = _agreement_group(spec)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("generic", "degenerate", "zero")))
+    if kind == "generic":
+        w = random_generic_weight(group, rng)
+    elif kind == "degenerate":
+        w = degenerate_weight(group, rng)
+    else:
+        w = zero_weight(group)
+    entry = st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=12)
+    x = draw(st.lists(entry, min_size=group.dimension, max_size=group.dimension))
+    g = GroupElement(group, x, draw(st.integers(0, group.order - 1)))
+    pool = draw(st.lists(formal_sums(), min_size=1, max_size=4))
+    picks = st.integers(0, len(pool) - 1)
+    v = [pool[i] for i in draw(st.lists(picks, min_size=group.order, max_size=group.order))]
+    return InducedModel.build(w), g, v
+
+
+@settings(max_examples=80, deadline=None)
+@given(equivariance_cases())
+def test_equivariance_check_agrees_with_the_reference(case):
+    m, g, v = case
+    assert equivariance_check(m, g, v) == reference_equivariance(m, g, v)
+    assert equivariance_check(m, g, v)
+    # model_act with its default phases is the pi of the reference
+    assert intertwiner(m, model_act(m, g, v)) == eigenspace_action(m.group, g, intertwiner(m, v))
 
 
 def test_eigenspace_action_is_multiplicative():
@@ -421,38 +473,6 @@ def test_eigenspace_action_is_multiplicative():
         assert eigenspace_action(group, g_multiply(g1, g2), p) == eigenspace_action(
             group, g1, eigenspace_action(group, g2, p)
         )
-
-
-def test_eigenspace_action_applies_each_rotation_once(monkeypatch):
-    # k . mu comes from RMatrix.apply once per (element, exponent) for the
-    # life of the group, whatever translation or coefficients come with it
-    from refleig.groups import RMatrix
-
-    group = builtin("dihedral:4")
-    m = InducedModel.build(imag_weight(group, (1, 2)))
-    p = intertwiner(m, m.fixed_vector())
-    reference = [
-        eigenspace_action(group, GroupElement(group, (1, 2), r), p)
-        for r in range(group.order)
-    ]
-    calls = []
-    apply = RMatrix.apply
-    monkeypatch.setattr(
-        RMatrix, "apply", lambda k, vec: calls.append(1) or apply(k, vec)
-    )
-    rng = random.Random(29)
-    for r in range(group.order):
-        g = GroupElement(group, (1, 2), r)
-        assert eigenspace_action(group, g, p) == reference[r]
-        assert eigenspace_action(group, random_element(group, rng), p)
-    assert not calls
-    fresh = builtin("dihedral:4")
-    m = InducedModel.build(imag_weight(fresh, (1, 2)))
-    p = intertwiner(m, m.fixed_vector())
-    calls.clear()
-    for _ in range(3):
-        eigenspace_action(fresh, GroupElement(fresh, (0, 1), 5), p)
-    assert len(calls) == len(p.waves)
 
 
 # -- eigenvalue checks -------------------------------------------------------------
